@@ -45,11 +45,11 @@ def main():
     print(f"recentered around n=5: {list(shifted.coeffs)}")
     assert shifted.evaluate(20) == poly.evaluate(20)
 
-    # Counting splits cleanly over prefixes, so the work can be farmed
-    # out; the split depth never changes the answer.
+    # Counting splits cleanly over prefixes, each counted on its own;
+    # the split depth never changes the answer.
     big = DescentClassQuery(S, 9)
     serial = parallel_count(big, 0)
-    split = parallel_count(big, 2, workers=2)
+    split = parallel_count(big, 2)
     print(f"d({set(S)}, 9) serial {serial}, split over prefixes {split}")
     assert serial == split
 

@@ -41,15 +41,12 @@ class CliConfig:
     """Settings shared by every subcommand."""
 
     cap: int
-    workers: int
     fmt: str
     center: int | None = None
 
     def __post_init__(self):
         if not 1 <= self.cap <= MAX_CAP:
             raise ValueError(f"cap must be in 1..{MAX_CAP}, got {self.cap}")
-        if self.workers < 1:
-            raise ValueError(f"worker count must be >= 1, got {self.workers}")
         if self.fmt not in ("text", "json", "csv"):
             raise ValueError(f"unknown output format {self.fmt!r}")
 
@@ -66,10 +63,8 @@ def _env_int(name: str) -> int | None:
 
 def _config_from(args: argparse.Namespace) -> CliConfig:
     cap = args.cap if args.cap is not None else _env_int("PEAKPOLY_CAP")
-    workers = args.workers if args.workers is not None else _env_int("PEAKPOLY_WORKERS")
     return CliConfig(
         cap=resolve_cap(cap),
-        workers=workers if workers is not None else os.cpu_count() or 1,
         fmt=args.format,
         center=getattr(args, "center", None),
     )
@@ -188,13 +183,9 @@ def _cmd_count(config: CliConfig, args: argparse.Namespace) -> int:
         text = f"|D({_set_str(positions)},{n})| = {value}"
         rows = [("descent", _set_str(positions), n, value)]
     else:
-        query = enumeration.PeakClassQuery(positions, n)
-        # The process pool only pays for itself on larger boards.
-        depth = min(2, n) if config.workers > 1 and n > 9 else 0
-        workers = config.workers if depth else None
-        size = enumeration.parallel_count(query, depth, workers=workers,
-                                          cap=config.cap)
-        scaled = enumeration.peak_poly_value(positions, n, cap=config.cap)
+        size = enumeration.parallel_count(
+            enumeration.PeakClassQuery(positions, n), cap=config.cap)
+        scaled = enumeration.scale_peak_count(size, positions, n)
         payload = {
             "kind": "peak", "set": list(positions), "n": n,
             "class_size": str(size), "scaled_count": str(scaled),
@@ -243,13 +234,8 @@ def _cmd_expand(config: CliConfig, args: argparse.Namespace) -> int:
 def _cmd_moebius(config: CliConfig, args: argparse.Namespace) -> int:
     i_set = parse_positions(args.set)
     n = args.n
-    total = polynomials.peak_poly_via_moebius(i_set, n)
-    terms = []
-    for r in range(len(i_set) + 1):
-        for subset in itertools.combinations(i_set, r):
-            sign = -1 if (len(i_set) - r) % 2 else 1
-            s_j = flips.canonical_descent_set(subset)
-            terms.append((subset, s_j, sign, enumeration.count_descent_class(s_j, n)))
+    terms = polynomials.moebius_terms(i_set, n)
+    total = sum(sign * value for _, _, sign, value in terms)
     if config.fmt == "json":
         _print_json({
             "set": list(i_set), "n": n, "value": str(total),
@@ -413,9 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
                         default="text", help="output format (default: text)")
     common.add_argument("--cap", type=int, default=None, metavar="N",
                         help="enumeration size cap (default: 12, env PEAKPOLY_CAP)")
-    common.add_argument("--workers", type=int, default=None, metavar="W",
-                        help="process count for partitioned counting "
-                             "(default: all cores, env PEAKPOLY_WORKERS)")
 
     parser = argparse.ArgumentParser(
         prog="peakpoly",
@@ -426,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="binomial-basis coefficients of d(S,n)")
     p.add_argument("set", help="descent set S, comma-separated ('-' for empty)")
     p.add_argument("--center", type=int, default=None,
-                   help="basis center m (default: max(S))")
+                   help="basis center m (default: max(S)+1)")
     p.set_defaults(handler=_cmd_descent_poly)
 
     p = sub.add_parser("peak-poly", parents=[common],

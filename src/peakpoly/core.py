@@ -7,8 +7,9 @@ Conventions used throughout the package:
   values form a permutation of 1..n.
 - Positions are 1-based: position i compares the values at i and i+1,
   so descent positions live in 1..n-1.
-- Position sets are handled as sorted tuples of ints externally; the
-  enumeration kernels use integer bitmasks (bit i <-> position i).
+- Position sets are sorted tuples of ints; ``positions_to_mask`` and
+  ``mask_to_positions`` convert them to and from integer bitmasks
+  (bit i <-> position i).
 """
 from __future__ import annotations
 

@@ -7,14 +7,16 @@ descent at position j-1 and the peak status of position j-1 (the latter
 needs the value at j-2 as well), so every yielded permutation is built
 without ever scanning the full factorial search space.
 
-Counts are plain Python ints, hence exact at any size.
+Counts never enumerate. They run a transfer matrix over the rank of the
+last entry among the values still unused, the classical count of
+permutations by up-down signature (Niven 1968; de Bruijn 1970), at a
+cost of O(n^2) big-integer additions for any pattern. Counts are plain
+Python ints, hence exact at any size.
 """
 from __future__ import annotations
 
 import dataclasses
 import itertools
-import math
-from concurrent.futures import ProcessPoolExecutor
 from typing import Iterable, Iterator
 
 from .core import (
@@ -23,7 +25,6 @@ from .core import (
     Positions,
     is_admissible,
     position_set,
-    positions_to_mask,
     resolve_cap,
 )
 
@@ -62,70 +63,55 @@ class PeakClassQuery:
             )
 
 
-# ---------------------------------------------------------------------------
-# Backtracking kernels
-# ---------------------------------------------------------------------------
-# All kernels walk the remaining values in increasing order, so complete
-# outputs appear in lexicographic one-line order.
+Query = DescentClassQuery | PeakClassQuery
 
-def _descent_arrangements(smask: int, prefix: Perm,
-                          remaining: tuple[int, ...]) -> Iterator[Perm]:
-    """Orderings of prefix+remaining whose realized descent pattern matches smask."""
-    if not remaining:
+
+# ---------------------------------------------------------------------------
+# Patterns and the pruning rule
+# ---------------------------------------------------------------------------
+
+@dataclasses.dataclass(frozen=True)
+class _Pattern:
+    """The positions a class fixes exactly: its descents, or its peaks."""
+
+    positions: frozenset[int]
+    peaks: bool
+
+    def allows(self, prefix: Perm, v: int) -> bool:
+        """Whether appending ``v`` to ``prefix`` keeps every decided position right.
+
+        The appended entry decides position j = len(prefix): the descent
+        at j, and, with two entries before it, whether j is a peak.
+        """
+        j = len(prefix)
+        if self.peaks:
+            return j < 2 or (prefix[-2] < prefix[-1] > v) == (j in self.positions)
+        return j < 1 or (prefix[-1] > v) == (j in self.positions)
+
+
+def _pattern(query: Query) -> _Pattern:
+    if isinstance(query, DescentClassQuery):
+        return _Pattern(frozenset(query.descents), peaks=False)
+    if isinstance(query, PeakClassQuery):
+        return _Pattern(frozenset(query.peaks), peaks=True)
+    raise TypeError(f"unsupported query type: {type(query).__name__}")
+
+
+def _arrangements(pattern: _Pattern, prefix: Perm, remaining: tuple[int, ...],
+                  stop: int = 0) -> Iterator[Perm]:
+    """Extensions of ``prefix`` by values of ``remaining`` that ``pattern``
+    allows, ending when ``stop`` values are left.
+
+    Values are tried in increasing order, so the outputs appear in
+    lexicographic one-line order.
+    """
+    if len(remaining) == stop:
         yield prefix
         return
-    pos = len(prefix)
     for idx, v in enumerate(remaining):
-        if pos and (prefix[-1] > v) != bool((smask >> pos) & 1):
-            continue
-        yield from _descent_arrangements(
-            smask, prefix + (v,), remaining[:idx] + remaining[idx + 1:])
-
-
-def _count_descent_completions(smask: int, prefix: Perm,
-                               remaining: tuple[int, ...]) -> int:
-    if not remaining:
-        return 1
-    pos = len(prefix)
-    total = 0
-    for idx, v in enumerate(remaining):
-        if pos and (prefix[-1] > v) != bool((smask >> pos) & 1):
-            continue
-        total += _count_descent_completions(
-            smask, prefix + (v,), remaining[:idx] + remaining[idx + 1:])
-    return total
-
-
-def _peak_arrangements(imask: int, prefix: Perm,
-                       remaining: tuple[int, ...]) -> Iterator[Perm]:
-    """Orderings of prefix+remaining whose realized peak pattern matches imask."""
-    if not remaining:
-        yield prefix
-        return
-    j = len(prefix) + 1
-    for idx, v in enumerate(remaining):
-        if j >= 3:
-            peak_here = prefix[-2] < prefix[-1] > v
-            if peak_here != bool((imask >> (j - 1)) & 1):
-                continue
-        yield from _peak_arrangements(
-            imask, prefix + (v,), remaining[:idx] + remaining[idx + 1:])
-
-
-def _count_peak_completions(imask: int, prefix: Perm,
-                            remaining: tuple[int, ...]) -> int:
-    if not remaining:
-        return 1
-    j = len(prefix) + 1
-    total = 0
-    for idx, v in enumerate(remaining):
-        if j >= 3:
-            peak_here = prefix[-2] < prefix[-1] > v
-            if peak_here != bool((imask >> (j - 1)) & 1):
-                continue
-        total += _count_peak_completions(
-            imask, prefix + (v,), remaining[:idx] + remaining[idx + 1:])
-    return total
+        if pattern.allows(prefix, v):
+            yield from _arrangements(
+                pattern, prefix + (v,), remaining[:idx] + remaining[idx + 1:], stop)
 
 
 # ---------------------------------------------------------------------------
@@ -136,8 +122,7 @@ def enumerate_descent_class(q: DescentClassQuery, *, cap: int | None = None) -> 
     """Yield the permutations with descent set exactly ``q.descents``, in lex order."""
     if q.n > resolve_cap(cap):
         raise CapExceeded(f"n={q.n} exceeds the enumeration cap {resolve_cap(cap)}")
-    smask = positions_to_mask(q.descents)
-    return _descent_arrangements(smask, (), tuple(range(1, q.n + 1)))
+    return _arrangements(_pattern(q), (), tuple(range(1, q.n + 1)))
 
 
 def enumerate_peak_class(q: PeakClassQuery, *, cap: int | None = None) -> Iterator[Perm]:
@@ -150,58 +135,82 @@ def enumerate_peak_class(q: PeakClassQuery, *, cap: int | None = None) -> Iterat
         raise CapExceeded(f"n={q.n} exceeds the enumeration cap {resolve_cap(cap)}")
     if not is_admissible(q.peaks):
         return iter(())
-    imask = positions_to_mask(q.peaks)
-    return _peak_arrangements(imask, (), tuple(range(1, q.n + 1)))
+    return _arrangements(_pattern(q), (), tuple(range(1, q.n + 1)))
+
+
+# ---------------------------------------------------------------------------
+# The counting engine
+# ---------------------------------------------------------------------------
+
+def _up(counts: list[int]) -> list[int]:
+    """Counts by new rank after an ascent: entry s sums old ranks 0..s."""
+    return list(itertools.accumulate(counts[:-1]))
+
+
+def _down(counts: list[int]) -> list[int]:
+    """Counts by new rank after a descent: entry s sums old ranks s+1..end."""
+    return list(itertools.accumulate(reversed(counts[1:])))[::-1]
+
+
+def _completions(pattern: _Pattern, prefix: Perm, n: int) -> int:
+    """The number of permutations of n that start with ``prefix`` and match
+    ``pattern`` exactly.
+
+    The state after k entries is the rank r of the last entry among
+    itself and the n-k unused values, split by whether the last step
+    went up. The next entry has a higher rank than r exactly when the
+    step rises, and its own rank among what is left is then r..n-k-1;
+    on a fall it is 0..r-1. Prefix sums make each step linear, so the
+    whole count costs O(n^2) additions.
+    """
+    if not all(pattern.allows(prefix[:j], prefix[j]) for j in range(len(prefix))):
+        return 0
+    if len(prefix) == n:
+        return 1
+    if prefix:
+        used = set(prefix)
+        seed = [0] * (n - len(prefix) + 1)
+        seed[sum(1 for v in range(1, prefix[-1]) if v not in used)] = 1
+        zeros = [0] * len(seed)
+        went_up = len(prefix) > 1 and prefix[-2] < prefix[-1]
+        rose, fell = (seed, zeros) if went_up else (zeros, seed)
+    else:
+        # Every first value, counted as after a fall: position 1 is no peak.
+        rose, fell = [0] * n, [1] * n
+    for j in range(max(len(prefix), 1), n):
+        both = [a + b for a, b in zip(rose, fell)]
+        if j in pattern.positions:
+            rose, fell = [0] * (len(both) - 1), _down(rose if pattern.peaks else both)
+        else:
+            rose, fell = _up(both), _down(fell) if pattern.peaks else [0] * (len(both) - 1)
+    return rose[0] + fell[0]
 
 
 # ---------------------------------------------------------------------------
 # Exact counts
 # ---------------------------------------------------------------------------
 
-def _multinomial(n: int, parts: Iterable[int]) -> int:
-    out = math.factorial(n)
-    for p in parts:
-        out //= math.factorial(p)
-    return out
-
-
 def count_descent_class(s: Iterable[int], n: int) -> int:
-    """|D(S,n)| by signed subset sums of multinomials; exact for any n.
+    """|D(S,n)| by the transfer-matrix engine; exact for any n.
 
-    Permutations with descent set contained in T = {t_1 < ... < t_k} are
-    counted by the multinomial over the composition (t_1, t_2 - t_1, ...,
-    n - t_k); alternating the sum over subsets T of S isolates the
-    permutations whose descent set is exactly S.
+    Costs O(n^2) big-integer additions whatever the size of S, so it
+    needs no enumeration cap.
     """
     s = position_set(s)
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     if s and s[-1] >= n:
         raise ValueError(f"descent position {s[-1]} needs n > {s[-1]}, got n={n}")
-    total = 0
-    for r in range(len(s) + 1):
-        sign = -1 if (len(s) - r) % 2 else 1
-        for t in itertools.combinations(s, r):
-            cuts = (0,) + t + (n,)
-            total += sign * _multinomial(n, (b - a for a, b in zip(cuts, cuts[1:])))
-    return total
+    return _completions(_Pattern(frozenset(s), peaks=False), (), n)
 
 
-def peak_poly_value(i: Iterable[int], n: int, *, cap: int | None = None) -> int:
-    """p(I,n): the peak class size scaled down by 2^(n-|I|-1), exactly.
+def scale_peak_count(size: int, i: Positions, n: int) -> int:
+    """p(I,n) from the peak class size |P(I,n)|, dividing by 2^(n-|I|-1).
 
-    Counts P(I,n) by pruned enumeration, so n is subject to the cap.
-    Non-admissible I gives 0. A scaled count that is not an integer
-    signals a bug, not bad input, hence ArithmeticError.
+    A quotient that is not an integer signals a bug, not bad input,
+    hence ArithmeticError.
     """
-    i = position_set(i)
-    if i and i[-1] >= n:
-        raise ValueError(f"peak position {i[-1]} needs n > {i[-1]}, got n={n}")
-    if not is_admissible(i):
-        return 0
-    size = sum(1 for _ in enumerate_peak_class(PeakClassQuery(i, n), cap=cap))
-    divisor = 1 << (n - len(i) - 1)
-    value, rem = divmod(size, divisor)
+    value, rem = divmod(size, 1 << (n - len(i) - 1))
     if rem:
         raise ArithmeticError(
             f"|P({list(i)},{n})| = {size} is not divisible by 2^{n - len(i) - 1}"
@@ -209,77 +218,36 @@ def peak_poly_value(i: Iterable[int], n: int, *, cap: int | None = None) -> int:
     return value
 
 
-# ---------------------------------------------------------------------------
-# Prefix-partitioned counting
-# ---------------------------------------------------------------------------
+def peak_poly_value(i: Iterable[int], n: int, *, cap: int | None = None) -> int:
+    """p(I,n): the peak class size scaled down by 2^(n-|I|-1), exactly.
 
-Query = DescentClassQuery | PeakClassQuery
-
-
-def _query_parts(query: Query) -> tuple[int, int, bool]:
-    """(n, pattern mask, is_peak_query) for either query flavor."""
-    if isinstance(query, DescentClassQuery):
-        return query.n, positions_to_mask(query.descents), False
-    if isinstance(query, PeakClassQuery):
-        return query.n, positions_to_mask(query.peaks), True
-    raise TypeError(f"unsupported query type: {type(query).__name__}")
-
-
-def _count_tail(query: Query, prefix: Perm) -> int:
-    """Count the completions of one committed prefix for ``query``."""
-    n, mask, is_peak = _query_parts(query)
-    remaining = tuple(v for v in range(1, n + 1) if v not in prefix)
-    if is_peak:
-        return _count_peak_completions(mask, prefix, remaining)
-    return _count_descent_completions(mask, prefix, remaining)
-
-
-def _prefixes(query: Query, depth: int) -> list[Perm]:
-    """All pattern-consistent prefixes of the given length, in lex order."""
-    n, mask, is_peak = _query_parts(query)
-    out: list[Perm] = []
-
-    def extend(prefix: Perm, remaining: tuple[int, ...]) -> None:
-        if len(prefix) == depth:
-            out.append(prefix)
-            return
-        for idx, v in enumerate(remaining):
-            if is_peak:
-                j = len(prefix) + 1
-                if j >= 3:
-                    peak_here = prefix[-2] < prefix[-1] > v
-                    if peak_here != bool((mask >> (j - 1)) & 1):
-                        continue
-            else:
-                pos = len(prefix)
-                if pos and (prefix[-1] > v) != bool((mask >> pos) & 1):
-                    continue
-            extend(prefix + (v,), remaining[:idx] + remaining[idx + 1:])
-
-    extend((), tuple(range(1, n + 1)))
-    return out
+    Counts P(I,n) with the transfer-matrix engine; n is still subject
+    to the cap. Non-admissible I gives 0.
+    """
+    i = position_set(i)
+    if i and i[-1] >= n:
+        raise ValueError(f"peak position {i[-1]} needs n > {i[-1]}, got n={n}")
+    if not is_admissible(i):
+        return 0
+    return scale_peak_count(parallel_count(PeakClassQuery(i, n), cap=cap), i, n)
 
 
 def parallel_count(query: Query, partition_depth: int = 0, *,
-                   workers: int | None = None, cap: int | None = None) -> int:
-    """Exact class size via per-prefix counts that merge by addition.
+                   cap: int | None = None) -> int:
+    """Exact class size as a sum of independent per-prefix counts.
 
-    The search space is split by committing the first ``partition_depth``
-    one-line entries; each committed prefix is counted independently.
-    The result does not depend on the depth. With ``workers`` > 1 the
-    prefixes are farmed out to a process pool.
+    Every pattern-consistent way of committing the first
+    ``partition_depth`` one-line entries is listed, and the completions
+    of each prefix are counted on their own by the transfer-matrix
+    engine. The result does not depend on the depth.
     """
-    n, _, is_peak = _query_parts(query)
+    pattern = _pattern(query)
+    n = query.n
     if not 0 <= partition_depth <= n:
         raise ValueError(f"partition depth must be in 0..{n}, got {partition_depth}")
     if n > resolve_cap(cap):
         raise CapExceeded(f"n={n} exceeds the enumeration cap {resolve_cap(cap)}")
-    if is_peak and not is_admissible(query.peaks):
+    if pattern.peaks and not is_admissible(query.peaks):
         return 0
-    prefixes = _prefixes(query, partition_depth)
-    if workers is not None and workers > 1 and len(prefixes) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk = max(1, len(prefixes) // (workers * 4))
-            return sum(pool.map(_count_tail, itertools.repeat(query),
-                                prefixes, chunksize=chunk))
-    return sum(_count_tail(query, prefix) for prefix in prefixes)
+    prefixes = _arrangements(pattern, (), tuple(range(1, n + 1)), n - partition_depth)
+    return sum(_completions(pattern, prefix, n) for prefix in prefixes)

@@ -19,12 +19,12 @@ from .core import (
     Positions,
     is_admissible,
     position_set,
-    positions_to_mask,
     resolve_cap,
     spikes_of,
 )
 from .enumeration import (
-    _descent_arrangements,
+    _arrangements,
+    _Pattern,
     count_descent_class,
     peak_poly_value,
 )
@@ -164,14 +164,14 @@ def prefix_interval_class(s: Iterable[int], m: int, k: int) -> Iterator[Perm]:
         raise ValueError(f"descent set reaches {s[-1]}, above the center {m}")
     if not 0 <= k <= m:
         raise ValueError(f"k must be in 0..{m}, got {k}")
-    smask = positions_to_mask(s)
+    pattern = _Pattern(frozenset(s), peaks=False)
     boundary_descent = m in s
     found: list[Perm] = []
     high = tuple(range(m + 1, m + k + 1))
     for low in itertools.combinations(range(1, m + 1), m - k):
         values = tuple(sorted(low + high))
         tail = tuple(v for v in range(1, 2 * m + 1) if v not in values)
-        for head in _descent_arrangements(smask, (), values):
+        for head in _arrangements(pattern, (), values):
             if (head[-1] > tail[0]) == boundary_descent:
                 found.append(head + tail)
     found.sort()
@@ -243,10 +243,10 @@ def descent_poly_via_peaks(s: Iterable[int], n: int, *, cap: int | None = None) 
     return total
 
 
-def peak_poly_via_moebius(i_set: Iterable[int], n: int) -> int:
-    """p(I,n) as the alternating sum of d(S_J,n) over subsets J of I.
+def moebius_terms(i_set: Iterable[int], n: int) -> list[tuple[Positions, Positions, int, int]]:
+    """The terms (J, S_J, sign, d(S_J,n)) of p(I,n) over the subsets J of I.
 
-    Rides on the closed-form descent count, so it works far beyond the
+    Rides on the exact descent count, so it works far beyond the
     enumeration cap. Requires admissible I and n > max(I).
     """
     i_set = position_set(i_set)
@@ -254,9 +254,15 @@ def peak_poly_via_moebius(i_set: Iterable[int], n: int) -> int:
         raise ValueError(f"not an admissible peak set: {i_set}")
     if i_set and i_set[-1] >= n:
         raise ValueError(f"peak position {i_set[-1]} needs n > {i_set[-1]}, got n={n}")
-    total = 0
+    terms = []
     for r in range(len(i_set) + 1):
         sign = -1 if (len(i_set) - r) % 2 else 1
         for subset in itertools.combinations(i_set, r):
-            total += sign * count_descent_class(canonical_descent_set(subset), n)
-    return total
+            s_j = canonical_descent_set(subset)
+            terms.append((subset, s_j, sign, count_descent_class(s_j, n)))
+    return terms
+
+
+def peak_poly_via_moebius(i_set: Iterable[int], n: int) -> int:
+    """p(I,n) as the alternating sum of d(S_J,n) over subsets J of I."""
+    return sum(sign * value for _, _, sign, value in moebius_terms(i_set, n))

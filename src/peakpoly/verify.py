@@ -12,12 +12,13 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
-from typing import Any, Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from . import enumeration, flips, polynomials
 from .core import Perm, Positions
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclasses.dataclass(frozen=True)
@@ -112,12 +113,16 @@ def _mask(positions: Iterable[int]) -> int:
 
 @functools.lru_cache(maxsize=8)
 def _perm_array(n: int) -> np.ndarray:
+    import numpy as np  # the sweeps alone need numpy; keep it off the CLI's start-up
+
     return np.array(list(itertools.permutations(range(1, n + 1))), dtype=np.int16)
 
 
 @functools.lru_cache(maxsize=8)
 def _signed_descent_histogram(n: int) -> np.ndarray:
     """Counts of signed permutations of n per descent-set bitmask."""
+    import numpy as np
+
     perms = _perm_array(n)
     weights = (1 << np.arange(1, n)).astype(np.int64)
     counts = np.zeros(1 << n, dtype=np.int64)
@@ -131,6 +136,8 @@ def _signed_descent_histogram(n: int) -> np.ndarray:
 @functools.lru_cache(maxsize=8)
 def _peak_class_histogram(n: int) -> np.ndarray:
     """Counts of plain permutations of n per peak-set bitmask."""
+    import numpy as np
+
     perms = _perm_array(n)
     mid = perms[:, 1:-1]
     is_peak = (mid > perms[:, :-2]) & (mid > perms[:, 2:])

@@ -1,9 +1,11 @@
 """Slow filter-based reference implementations used as ground truth.
 
 Everything here scans full symmetric groups with straight-line value
-comparisons and shares no code with the package under test.
+comparisons, or sums closed forms, and shares no code with the package
+under test.
 """
 import itertools
+import math
 
 
 def descents(seq):
@@ -54,6 +56,26 @@ def descent_class(s, n):
 def peak_class(i, n):
     target = tuple(sorted(i))
     return [p for p in perms(n) if peaks(p) == target]
+
+
+def descent_count_by_inclusion_exclusion(s, n):
+    """d(S,n) as a signed sum of 2^|S| multinomials.
+
+    Permutations whose descent set lies inside T = {t_1 < ... < t_k}
+    number the multinomial over the composition (t_1, t_2 - t_1, ...,
+    n - t_k); alternating the sum over the subsets T of S isolates
+    descent set exactly S.
+    """
+    s = tuple(sorted(set(s)))
+    total = 0
+    for r in range(len(s) + 1):
+        for t in itertools.combinations(s, r):
+            cuts = (0,) + t + (n,)
+            term = math.factorial(n)
+            for a, b in zip(cuts, cuts[1:]):
+                term //= math.factorial(b - a)
+            total += (-1) ** (len(s) - r) * term
+    return total
 
 
 def p_value(i, n):

@@ -187,7 +187,6 @@ def test_env_cap_override(capsys, monkeypatch):
     monkeypatch.setenv("PEAKPOLY_CAP", "junk")
     assert run(["count", "peak", "2,4", "8"]) == 2
     monkeypatch.delenv("PEAKPOLY_CAP")
-    monkeypatch.setenv("PEAKPOLY_WORKERS", "1")
     assert run(["count", "peak", "2,4", "8"]) == 0
 
 
@@ -203,3 +202,15 @@ def test_module_invocation():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["coeffs"] == ["3", "8", "7", "2", "0"]
+
+
+def test_import_loads_neither_numpy_nor_a_process_pool():
+    # Only verify's brute-force sweeps need numpy; every CLI call pays
+    # for what `import peakpoly.cli` loads.
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, peakpoly.cli; "
+         "print(sorted({'numpy', 'concurrent.futures.process'} & set(sys.modules)))"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -80,7 +80,7 @@ def test_count_golden():
 
 
 def test_count_large_n_is_cheap():
-    # Closed-form counting has no cap; spot-check against the polynomial.
+    # Engine counts have no cap; spot-check against the polynomial.
     poly = pp.descent_coeffs((2, 3), 4)
     for n in (20, 50, 100):
         assert pp.count_descent_class((2, 3), n) == poly.evaluate(n)
@@ -147,9 +147,10 @@ def test_parallel_count_agrees_with_closed_form():
         pp.peak_poly_value((2, 4), 8) * 2 ** 5
 
 
-def test_parallel_count_process_pool():
-    query = pp.DescentClassQuery((2, 4), 9)
-    assert pp.parallel_count(query, 2, workers=2) == pp.parallel_count(query, 0)
+def test_parallel_count_partitioned_peak_class_at_cap():
+    i_set, n = (3, 6, 9), 12
+    assert pp.parallel_count(pp.PeakClassQuery(i_set, n), 2) == \
+        pp.peak_poly_via_moebius(i_set, n) * 2 ** (n - len(i_set) - 1)
 
 
 def test_parallel_count_validation():
