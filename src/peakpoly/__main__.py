@@ -1,7 +1,7 @@
 """Entry point for ``python -m peakpoly``."""
 import sys
 
-from .cli import main
+from .cli import run
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

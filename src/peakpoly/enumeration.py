@@ -218,18 +218,23 @@ def scale_peak_count(size: int, i: Positions, n: int) -> int:
     return value
 
 
-def peak_poly_value(i: Iterable[int], n: int, *, cap: int | None = None) -> int:
+def count_peak_class(i: Iterable[int], n: int) -> int:
+    """|P(I,n)| by the transfer-matrix engine; exact for any n.
+
+    Costs O(n^2) big-integer additions, so it needs no enumeration cap.
+    A non-admissible I gives 0: no permutation realizes it.
+    """
+    q = PeakClassQuery(i, n)
+    return _completions(_pattern(q), (), q.n)
+
+
+def peak_poly_value(i: Iterable[int], n: int) -> int:
     """p(I,n): the peak class size scaled down by 2^(n-|I|-1), exactly.
 
-    Counts P(I,n) with the transfer-matrix engine; n is still subject
-    to the cap. Non-admissible I gives 0.
+    Exact for any n. Non-admissible I gives 0.
     """
     i = position_set(i)
-    if i and i[-1] >= n:
-        raise ValueError(f"peak position {i[-1]} needs n > {i[-1]}, got n={n}")
-    if not is_admissible(i):
-        return 0
-    return scale_peak_count(parallel_count(PeakClassQuery(i, n), cap=cap), i, n)
+    return scale_peak_count(count_peak_class(i, n), i, n)
 
 
 def parallel_count(query: Query, partition_depth: int = 0, *,
@@ -239,7 +244,8 @@ def parallel_count(query: Query, partition_depth: int = 0, *,
     Every pattern-consistent way of committing the first
     ``partition_depth`` one-line entries is listed, and the completions
     of each prefix are counted on their own by the transfer-matrix
-    engine. The result does not depend on the depth.
+    engine. The result does not depend on the depth, which makes it a
+    check of the engine; listing the prefixes puts n under the cap.
     """
     pattern = _pattern(query)
     n = query.n

@@ -2,9 +2,11 @@
 
 A polynomial with center m is stored as exact integer coefficients
 c_0..c_m against the basis C(n-m, 0), ..., C(n-m, m). Coefficients are
-extracted as cardinalities of explicit permutation sets, so everything
-downstream is exact integer arithmetic; no floating point appears
-anywhere in this module.
+finite differences of exact engine counts at n = m+1, ..., 2m+1, so no
+floating point appears anywhere in this module. The paper counts each
+as rows of D(S,2m) (for p(I,n), the flip-free ones), which
+``prefix_interval_class`` and ``flip_admission_table`` list as the
+cross-check.
 """
 from __future__ import annotations
 
@@ -172,75 +174,132 @@ def prefix_interval_class(s: Iterable[int], m: int, k: int) -> Iterator[Perm]:
         values = tuple(sorted(low + high))
         tail = tuple(v for v in range(1, 2 * m + 1) if v not in values)
         for head in _arrangements(pattern, (), values):
-            if (head[-1] > tail[0]) == boundary_descent:
+            if not tail or (head[-1] > tail[0]) == boundary_descent:
                 found.append(head + tail)
     found.sort()
     return iter(found)
 
 
+def _from_values(values: list[int], m: int) -> BinomialPolynomial:
+    """The polynomial at center m that takes ``values`` at n = m+1, ..., 2m+1.
+
+    The k-th forward difference at n = m+1 is the coefficient of
+    C(n-m-1, k); a degree of at most m leaves the last basis term 0.
+    """
+    coeffs = []
+    while values:
+        coeffs.append(values[0])
+        values = [b - a for a, b in zip(values, values[1:])]
+    return BinomialPolynomial(m + 1, tuple(coeffs) + (0,)).recenter(m)
+
+
+def _at_center(positions: Iterable[int], m: int, cap: int | None, *,
+               peaks: bool) -> Positions:
+    """The normalized set S (or admissible I, with ``peaks``), once the
+    center m reaches its maximum and 2m fits the cap."""
+    positions = position_set(positions)
+    if peaks and not is_admissible(positions):
+        raise ValueError(f"not an admissible peak set: {positions}")
+    if positions and m < positions[-1]:
+        raise ValueError(f"center {m} is below max({'I' if peaks else 'S'}) = {positions[-1]}")
+    if 2 * m > resolve_cap(cap):
+        raise CapExceeded(f"2m={2 * m} exceeds the enumeration cap {resolve_cap(cap)}")
+    return positions
+
+
 def descent_coeffs(s: Iterable[int], m: int, *, cap: int | None = None) -> BinomialPolynomial:
     """Coefficients of the descent polynomial d(S,n) at center m.
 
-    c_k counts the members of D(S,2m) whose first m values meet
-    [m+1,2m] in exactly [m+1,m+k]. Requires m >= max(S).
+    Read off the exact counts d(S,n) at n = m+1, ..., 2m+1. The paper's
+    reading, c_k = the number of rows of ``prefix_interval_class(S, m, k)``,
+    is the cross-check. Requires m >= max(S).
     """
-    s = position_set(s)
-    if s and m < s[-1]:
-        raise ValueError(f"center {m} is below max(S) = {s[-1]}")
-    if 2 * m > resolve_cap(cap):
-        raise CapExceeded(f"2m={2 * m} exceeds the enumeration cap {resolve_cap(cap)}")
-    if m == 0:
-        return BinomialPolynomial(0, (1,))
-    counts = tuple(
-        sum(1 for _ in prefix_interval_class(s, m, k)) for k in range(m + 1)
-    )
-    return BinomialPolynomial(m, counts)
+    s = _at_center(s, m, cap, peaks=False)
+    return _from_values([count_descent_class(s, n) for n in range(m + 1, 2 * m + 2)], m)
 
 
 def peak_coeffs(i_set: Iterable[int], m: int, *, cap: int | None = None) -> BinomialPolynomial:
     """Coefficients of the peak polynomial p(I,n) at center m.
 
-    c_k counts the members of D(S_I,2m) that meet the initial-set
-    condition for k and admit no flip at any spike. Every coefficient
-    is a cardinality, hence nonnegative. Requires admissible I and
-    m >= max(I).
+    Read off the exact values p(I,n) at n = m+1, ..., 2m+1. The paper's
+    reading, c_k = the number of flip-free rows in block k of
+    ``flip_admission_table(I, m)``, hence c_k >= 0, is the cross-check.
+    Requires admissible I and m >= max(I).
     """
-    i_set = position_set(i_set)
-    if not is_admissible(i_set):
-        raise ValueError(f"not an admissible peak set: {i_set}")
-    if i_set and m < i_set[-1]:
-        raise ValueError(f"center {m} is below max(I) = {i_set[-1]}")
-    if 2 * m > resolve_cap(cap):
-        raise CapExceeded(f"2m={2 * m} exceeds the enumeration cap {resolve_cap(cap)}")
-    if m == 0:
-        return BinomialPolynomial(0, (1,))
+    i_set = _at_center(i_set, m, cap, peaks=True)
+    return _from_values([peak_poly_value(i_set, n) for n in range(m + 1, 2 * m + 2)], m)
+
+
+# ---------------------------------------------------------------------------
+# Flip-admission tables
+# ---------------------------------------------------------------------------
+
+@dataclasses.dataclass(frozen=True)
+class FlipTableRow:
+    permutation: Perm
+    admits: tuple[bool, ...]  # aligned with the sorted spike set
+
+
+@dataclasses.dataclass(frozen=True)
+class FlipTable:
+    spikes: Positions
+    center: int
+    blocks: tuple[tuple[FlipTableRow, ...], ...]  # indexed by k = 0..center
+
+    def no_flip_counts(self) -> tuple[int, ...]:
+        return self.pattern_counts(())
+
+    def pattern_counts(self, admitted: Iterable[int]) -> tuple[int, ...]:
+        """Per-k counts of rows admitting flips at exactly ``admitted``."""
+        want = tuple(i in set(admitted) for i in self.spikes)
+        return tuple(
+            sum(1 for row in block if row.admits == want) for block in self.blocks
+        )
+
+    def to_json_dict(self) -> dict:
+        return {
+            "spike_set": list(self.spikes),
+            "center": self.center,
+            "blocks": [
+                {"k": k, "rows": [
+                    {"permutation": list(row.permutation),
+                     "admits": {str(i): flag for i, flag in zip(self.spikes, row.admits)}}
+                    for row in block]}
+                for k, block in enumerate(self.blocks)
+            ],
+        }
+
+
+def flip_admission_table(i_set: Iterable[int], m: int, *,
+                         cap: int | None = None) -> FlipTable:
+    """For each k, the members of D(S_I,2m) meeting the initial-set condition,
+    each row carrying its per-spike flip admissions.
+
+    The rows of block k are ``prefix_interval_class(S_I, m, k)``, in lex order.
+    """
+    i_set = _at_center(i_set, m, cap, peaks=True)
     s = canonical_descent_set(i_set)
-    counts = []
-    for k in range(m + 1):
-        counts.append(sum(
-            1 for sigma in prefix_interval_class(s, m, k)
-            if not any(admits_flip(sigma, i).admits for i in i_set)
-        ))
-    return BinomialPolynomial(m, tuple(counts))
+    return FlipTable(i_set, m, tuple(
+        tuple(FlipTableRow(sigma, tuple(admits_flip(sigma, i).admits for i in i_set))
+              for sigma in prefix_interval_class(s, m, k))
+        for k in range(m + 1)
+    ))
 
 
 # ---------------------------------------------------------------------------
 # Expansion and inversion
 # ---------------------------------------------------------------------------
 
-def descent_poly_via_peaks(s: Iterable[int], n: int, *, cap: int | None = None) -> int:
+def descent_poly_via_peaks(s: Iterable[int], n: int) -> int:
     """d(S,n) as the sum of p(I,n) over subsets I of the spikes of S.
 
-    Non-admissible subsets contribute 0. Uses the enumerative peak
-    counts, so n is subject to the cap.
+    Non-admissible subsets contribute 0. Each p(I,n) is an exact engine
+    count, so any n works.
     """
-    s = position_set(s, n)
-    spikes = spikes_of(s, n)
-    total = 0
-    for r in range(len(spikes) + 1):
-        for subset in itertools.combinations(spikes, r):
-            total += peak_poly_value(subset, n, cap=cap)
-    return total
+    spikes = spikes_of(position_set(s, n), n)
+    return sum(peak_poly_value(subset, n)
+               for r in range(len(spikes) + 1)
+               for subset in itertools.combinations(spikes, r))
 
 
 def moebius_terms(i_set: Iterable[int], n: int) -> list[tuple[Positions, Positions, int, int]]:

@@ -5,7 +5,9 @@ deliberately share no code with the operations under test: descents and
 spikes are re-derived from raw value comparisons, set-level spikes from
 direction changes of the up-down word, and class sizes from exhaustive
 (numpy-tallied) sweeps of the full symmetric or signed symmetric group.
-A failing check reports the first counterexample in full.
+A full scan also rebuilds the flip-admission table of ``polynomials``,
+the reference it is checked against. A failing check reports the
+first counterexample in full.
 """
 from __future__ import annotations
 
@@ -36,13 +38,7 @@ class VerificationReport:
             raise ValueError("a failing report must carry a counterexample")
 
     def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "claim": self.claim,
-            "params": self.params,
-            "passed": self.passed,
-            "counterexample": self.counterexample,
-            "checked": self.checked,
-        }
+        return dataclasses.asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -111,11 +107,16 @@ def _mask(positions: Iterable[int]) -> int:
     return out
 
 
+def _all_perms(n: int) -> Iterable[Perm]:
+    """Every permutation of n, in lex order: the whole-group scan."""
+    return itertools.permutations(range(1, n + 1))
+
+
 @functools.lru_cache(maxsize=8)
 def _perm_array(n: int) -> np.ndarray:
     import numpy as np  # the sweeps alone need numpy; keep it off the CLI's start-up
 
-    return np.array(list(itertools.permutations(range(1, n + 1))), dtype=np.int16)
+    return np.array(list(_all_perms(n)), dtype=np.int16)
 
 
 @functools.lru_cache(maxsize=8)
@@ -165,7 +166,7 @@ def check_marked_lemma(n: int) -> VerificationReport:
         for r in range(n)
         for c in itertools.combinations(range(1, n), r)
     ]
-    for sigma in itertools.permutations(range(1, n + 1)):
+    for sigma in _all_perms(n):
         peaks = set(_naive_peaks(sigma))
         tallies: dict[Positions, int] = {}
         for signs in itertools.product((1, -1), repeat=n):
@@ -263,7 +264,7 @@ def check_flip_bijection(i_set: Iterable[int], j_sub: Iterable[int],
 
     domain = []
     target_size = 0
-    for sigma in itertools.permutations(range(1, n + 1)):
+    for sigma in _all_perms(n):
         des = _naive_descents(sigma)
         if des == s_target:
             target_size += 1
@@ -300,76 +301,16 @@ def check_flip_bijection(i_set: Iterable[int], j_sub: Iterable[int],
 # Flip-admission tables
 # ---------------------------------------------------------------------------
 
-@dataclasses.dataclass(frozen=True)
-class FlipTableRow:
-    permutation: Perm
-    admits: tuple[bool, ...]  # aligned with the sorted spike set
+def _naive_flip_table(i_set: Positions, m: int) -> polynomials.FlipTable:
+    """The flip-admission table rebuilt by a full scan of the 2m-permutations.
 
-
-@dataclasses.dataclass(frozen=True)
-class FlipTable:
-    spikes: Positions
-    center: int
-    blocks: tuple[tuple[FlipTableRow, ...], ...]  # indexed by k = 0..center
-
-    def no_flip_counts(self) -> tuple[int, ...]:
-        return tuple(
-            sum(1 for row in block if not any(row.admits)) for block in self.blocks
-        )
-
-    def pattern_counts(self, admitted: Iterable[int]) -> tuple[int, ...]:
-        """Per-k counts of rows admitting flips at exactly ``admitted``."""
-        want = tuple(i in set(admitted) for i in self.spikes)
-        return tuple(
-            sum(1 for row in block if row.admits == want) for block in self.blocks
-        )
-
-    def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "spike_set": list(self.spikes),
-            "center": self.center,
-            "blocks": [
-                {
-                    "k": k,
-                    "rows": [
-                        {
-                            "permutation": list(row.permutation),
-                            "admits": {
-                                str(i): flag
-                                for i, flag in zip(self.spikes, row.admits)
-                            },
-                        }
-                        for row in block
-                    ],
-                }
-                for k, block in enumerate(self.blocks)
-            ],
-        }
-
-
-def flip_admission_table(i_set: Iterable[int], m: int, *,
-                         cap: int | None = None) -> FlipTable:
-    """For each k, the members of D(S_I,2m) meeting the initial-set condition,
-    each row carrying its per-spike flip admissions.
-
-    The class is rebuilt here by naive full scan of the 2m-permutations;
-    only the admission flags come from the flips module, since those are
+    Only the admission flags come from the flips module, since those are
     the quantity the table exists to exhibit.
     """
-    i_set = tuple(sorted(set(i_set)))
-    if not _naive_admissible(i_set):
-        raise ValueError(f"not an admissible peak set: {i_set}")
-    if m < (i_set[-1] if i_set else 0):
-        raise ValueError(f"center {m} is below max(I)")
-    from .core import resolve_cap
-
-    if 2 * m > resolve_cap(cap):
-        raise enumeration.CapExceeded(
-            f"2m={2 * m} exceeds the enumeration cap {resolve_cap(cap)}")
-    s_target = _naive_canonical_set(i_set, 2 * m) if i_set else ()
-    blocks: list[list[FlipTableRow]] = [[] for _ in range(m + 1)]
+    s_target = _naive_canonical_set(i_set, 2 * m)
+    blocks: list[list[polynomials.FlipTableRow]] = [[] for _ in range(m + 1)]
     high = set(range(m + 1, 2 * m + 1))
-    for sigma in itertools.permutations(range(1, 2 * m + 1)):
+    for sigma in _all_perms(2 * m):
         if _naive_descents(sigma) != s_target:
             continue
         hit = set(sigma[:m]) & high
@@ -377,19 +318,24 @@ def flip_admission_table(i_set: Iterable[int], m: int, *,
         if hit != set(range(m + 1, m + 1 + k)):
             continue
         admits = tuple(flips.admits_flip(sigma, i).admits for i in i_set)
-        blocks[k].append(FlipTableRow(sigma, admits))
-    return FlipTable(i_set, m, tuple(tuple(sorted(b, key=lambda r: r.permutation))
-                                     for b in blocks))
+        blocks[k].append(polynomials.FlipTableRow(sigma, admits))
+    return polynomials.FlipTable(i_set, m, tuple(map(tuple, blocks)))
 
 
 def check_flip_table_partition(i_set: Iterable[int], m: int) -> VerificationReport:
-    """The admission patterns of the table partition each k-block so that
-    rows admitting exactly the flips in I-J number the k-th coefficient
-    of p(J,n), and whole blocks number the k-th coefficient of d(S_I,n).
+    """The public flip-admission table equals a full scan, and the admission
+    patterns of the scan partition each k-block so that rows admitting
+    exactly the flips in I-J number the k-th coefficient of p(J,n), and
+    whole blocks number the k-th coefficient of d(S_I,n).
     """
     i_set = tuple(sorted(set(i_set)))
     params = {"i": list(i_set), "m": m}
-    table = flip_admission_table(i_set, m)
+    public = polynomials.flip_admission_table(i_set, m)
+    table = _naive_flip_table(i_set, m)
+    for k, (want, got) in enumerate(zip(table.blocks, public.blocks)):
+        if want != got:
+            return VerificationReport("flip-table", params, False,
+                                      {"k": k, "scanned_rows": want, "table_rows": got})
     a = polynomials.descent_coeffs(flips.canonical_descent_set(i_set), m)
     sizes = tuple(len(block) for block in table.blocks)
     if sizes != a.coeffs:

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -182,17 +183,34 @@ def test_argument_errors_exit_2(capsys):
 
 
 def test_env_cap_override(capsys, monkeypatch):
+    # table1 --center 5 lists D(S,10): 2m = 10 is over a cap of 8.
     monkeypatch.setenv("PEAKPOLY_CAP", "8")
-    assert run(["count", "peak", "2,4", "10"]) == 2
+    assert run(["table1", "--set", "2,4", "--center", "5"]) == 2
     monkeypatch.setenv("PEAKPOLY_CAP", "junk")
     assert run(["count", "peak", "2,4", "8"]) == 2
     monkeypatch.delenv("PEAKPOLY_CAP")
-    assert run(["count", "peak", "2,4", "8"]) == 0
+    assert run(["table1", "--set", "2,4", "--center", "5"]) == 0
 
 
 def test_cap_flag_beats_env(capsys, monkeypatch):
     monkeypatch.setenv("PEAKPOLY_CAP", "8")
-    assert run(["count", "peak", "2,4", "10", "--cap", "12"]) == 0
+    assert run(["table1", "--set", "2,4", "--center", "5", "--cap", "12"]) == 0
+
+
+def test_counts_are_exact_past_the_cap(capsys):
+    assert run(["count", "peak", "2,4", "13", "--format", "json"]) == 0
+    data = json.loads(out_of(capsys))
+    assert data["scaled_count"] == str(pp.peak_poly_via_moebius((2, 4), 13))
+
+
+def test_table1_center_6_lists_the_class_without_a_scan(capsys):
+    # Under the default cap; a scan of all 12! permutations would take minutes.
+    start = time.perf_counter()
+    assert run(["table1", "--set", "3,6", "--center", "6", "--format", "json"]) == 0
+    assert time.perf_counter() - start < 1.0
+    data = json.loads(out_of(capsys))
+    sizes = tuple(len(b["rows"]) for b in data["blocks"])
+    assert sizes == pp.descent_coeffs(pp.canonical_descent_set((3, 6)), 6).coeffs
 
 
 def test_module_invocation():

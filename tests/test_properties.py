@@ -1,8 +1,11 @@
-"""Property tests of the exact counting engine against independent routes.
+"""Property tests of the exact counting engine and the coefficients read
+off it, against independent routes.
 
 Sets and sizes are drawn at random; the examples are derandomized so
 the suite stays reproducible, and capped so it stays fast.
 """
+import itertools
+
 from hypothesis import given, settings, strategies as st
 
 import peakpoly as pp
@@ -36,6 +39,7 @@ def test_peak_count_matches_brute_force(case, data):
     members = oracles.peak_class(i_set, n)
     depth = data.draw(st.integers(0, n), label="depth")
     assert pp.parallel_count(pp.PeakClassQuery(i_set, n), depth) == len(members)
+    assert pp.count_peak_class(i_set, n) == len(members)
     if pp.is_admissible(i_set):
         assert pp.peak_poly_value(i_set, n) == oracles.p_value(i_set, n)
 
@@ -55,3 +59,56 @@ def test_partitioned_count_matches_depth_zero(case, peaks, data):
     query = (pp.PeakClassQuery if peaks else pp.DescentClassQuery)(positions, n)
     depth = data.draw(st.integers(0, n), label="depth")
     assert pp.parallel_count(query, depth) == pp.parallel_count(query, 0)
+
+
+@st.composite
+def admissible_peak_sets(draw, top):
+    """An admissible peak set inside [2, top]: gaps of at least 2 from 0."""
+    gaps = draw(st.lists(st.integers(2, 5), max_size=top // 2))
+    positions = list(itertools.accumulate(gaps))
+    return tuple(p for p in positions if p <= top)
+
+
+@PROPERTY
+@given(sets_and_sizes(min_n=1, max_n=31, max_size=10), st.data())
+def test_descent_coeffs_evaluate_to_inclusion_exclusion(case, data):
+    s, m = case[0], case[1] - 1  # S inside [1, m]
+    poly = pp.descent_coeffs(s, m, cap=63)
+    n = data.draw(st.integers(max(m, max(s, default=0) + 1), 80), label="n")
+    assert poly.evaluate(n) == oracles.descent_count_by_inclusion_exclusion(s, n)
+
+
+@PROPERTY
+@given(admissible_peak_sets(12), st.integers(0, 3), st.data())
+def test_peak_coeffs_are_nonnegative_and_match_moebius(i_set, lift, data):
+    top = max(i_set, default=0)
+    poly = pp.peak_coeffs(i_set, top + lift, cap=63)
+    assert all(c >= 0 for c in poly.coeffs)
+    n = data.draw(st.integers(max(poly.center, top + 1), 60), label="n")
+    assert poly.evaluate(n) == pp.peak_poly_via_moebius(i_set, n)
+
+
+@PROPERTY
+@given(st.lists(st.integers(-1000, 1000), min_size=1, max_size=16), st.data())
+def test_recenter_round_trips(coeffs, data):
+    poly = pp.BinomialPolynomial(len(coeffs) - 1, tuple(coeffs))
+    other = data.draw(st.integers(poly.degree, 20), label="center")
+    moved = poly.recenter(other)
+    assert moved.recenter(poly.center) == poly
+    n = data.draw(st.integers(20, 60), label="n")
+    assert moved.evaluate(n) == poly.evaluate(n)
+
+
+def test_flip_table_is_the_filtered_descent_class():
+    for i_set in oracles.admissible_sets(4):
+        s = pp.canonical_descent_set(i_set)
+        for m in range(max(i_set, default=0), 5):
+            blocks = [[] for _ in range(m + 1)]
+            for p in oracles.descent_class(s, 2 * m):
+                hit = set(p[:m]) & set(range(m + 1, 2 * m + 1))
+                k = len(hit)
+                if hit == set(range(m + 1, m + 1 + k)):
+                    admits = tuple(pp.admits_flip(p, i).admits for i in i_set)
+                    blocks[k].append(pp.FlipTableRow(p, admits))
+            table = pp.flip_admission_table(i_set, m)
+            assert table.blocks == tuple(map(tuple, blocks)), (i_set, m)
