@@ -4,24 +4,27 @@ Subcommands cover coefficient extraction (descent-poly, peak-poly), exact
 class counting (count), the spike-subset expansion (expand) and its
 inversion (moebius), flip diagnostics for a single permutation (flips),
 the flip-admission table (table1), and the brute-force verification
-suite (verify). Data goes to stdout, diagnostics to stderr. Exit codes:
-0 on success, 1 when a verification check fails, 2 on bad arguments.
+suite (verify).
+
+Output contract: each handler returns one `Output` with the answer as
+data for every format and prints nothing; `run` hands it to `_emit`, the
+one place that reads ``--format``. Data goes to stdout. The verify
+summary is a note: it follows the text on stdout, and goes to stderr
+under json and csv. Errors go to stderr. Exit codes: 0 on success, 1
+when a verification check fails, 2 on bad arguments.
 """
 from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
-import io
 import itertools
 import json
 import os
 import sys
-from typing import Any, Sequence
+from typing import Any, NamedTuple, Sequence
 
 from . import enumeration, flips, polynomials, verify
 from .core import (
-    CapExceeded,
     Perm,
     Positions,
     as_permutation,
@@ -35,13 +38,16 @@ from .core import (
 CHECK, CROSS = "✓", "✗"
 
 
-@dataclasses.dataclass(frozen=True)
-class CliConfig:
-    """Settings shared by every subcommand."""
+class Output(NamedTuple):
+    """One answer: the JSON payload, the CSV header and rows, the text
+    lines, an optional trailing note and the exit code."""
 
-    cap: int
-    fmt: str
-    center: int | None = None
+    payload: Any
+    header: Sequence[str]
+    rows: Sequence[Sequence[Any]]
+    text: Sequence[str]
+    note: str | None = None
+    code: int = 0
 
 
 def _env_int(name: str) -> int | None:
@@ -52,15 +58,6 @@ def _env_int(name: str) -> int | None:
         return int(raw)
     except ValueError:
         raise ValueError(f"environment variable {name} must be an integer, got {raw!r}")
-
-
-def _config_from(args: argparse.Namespace) -> CliConfig:
-    cap = args.cap if args.cap is not None else _env_int("PEAKPOLY_CAP")
-    return CliConfig(
-        cap=resolve_cap(cap),
-        fmt=args.format,
-        center=getattr(args, "center", None),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -116,85 +113,79 @@ def _perm_str(p: Sequence[int]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Output helpers
+# Output
 # ---------------------------------------------------------------------------
 
-def _print_json(payload: Any) -> None:
-    print(json.dumps(payload, indent=2, ensure_ascii=False))
-
-
-def _print_csv(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> None:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    sys.stdout.write(buffer.getvalue())
-
-
-def _emit_polynomial(poly: polynomials.BinomialPolynomial, fmt: str,
-                     label: str) -> None:
+def _emit(out: Output, fmt: str) -> int:
+    """Print ``out`` to stdout in ``fmt`` and return its exit code."""
     if fmt == "json":
-        _print_json(poly.to_json_dict())
+        print(json.dumps(out.payload, indent=2, ensure_ascii=False))
     elif fmt == "csv":
-        _print_csv(("k", "coeff"), poly.csv_rows())
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(out.header)
+        # A dict cell (verify's params) is written as JSON.
+        writer.writerows([json.dumps(cell) if isinstance(cell, dict) else cell
+                          for cell in row] for row in out.rows)
     else:
-        coeffs = ", ".join(str(c) for c in poly.coeffs)
-        print(f"{label}: center {poly.center}, coefficients [{coeffs}]")
-        print(poly.pretty())
+        for line in out.text:
+            print(line)
+    if out.note is not None:
+        print(out.note, file=sys.stdout if fmt == "text" else sys.stderr)
+    return out.code
+
+
+def _polynomial(poly: polynomials.BinomialPolynomial, label: str) -> Output:
+    coeffs = ", ".join(str(c) for c in poly.coeffs)
+    return Output(poly.to_json_dict(), ("k", "coeff"), poly.csv_rows(),
+                  [f"{label}: center {poly.center}, coefficients [{coeffs}]", poly.pretty()])
+
+
+def _center(args: argparse.Namespace, positions: Positions) -> int:
+    """``--center``, else max(S)+1 for descent-poly and max(I) otherwise."""
+    if args.center is not None:
+        return args.center
+    if not positions:
+        return 0
+    # At max(S)+1 the spike-subset expansion of d(S,n) shares a basis
+    # with all of its peak polynomial summands.
+    return max(positions) + 1 if args.command == "descent-poly" else max(positions)
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers (each returns an exit code)
+# Subcommand handlers (each returns an Output and prints nothing)
 # ---------------------------------------------------------------------------
 
-def _cmd_descent_poly(config: CliConfig, args: argparse.Namespace) -> int:
+def _cmd_descent_poly(args: argparse.Namespace, cap: int) -> Output:
     s = parse_positions(args.set)
-    # Default to max(S)+1, the center at which the spike-subset expansion
-    # of d(S,n) shares a basis with all of its peak polynomial summands.
-    center = config.center if config.center is not None else (max(s) + 1 if s else 0)
-    poly = polynomials.descent_coeffs(s, center, cap=config.cap)
-    _emit_polynomial(poly, config.fmt, f"d({_set_str(s)},n)")
-    return 0
+    poly = polynomials.descent_coeffs(s, _center(args, s), cap=cap)
+    return _polynomial(poly, f"d({_set_str(s)},n)")
 
 
-def _cmd_peak_poly(config: CliConfig, args: argparse.Namespace) -> int:
+def _cmd_peak_poly(args: argparse.Namespace, cap: int) -> Output:
     i_set = parse_positions(args.set)
-    center = config.center if config.center is not None else (max(i_set) if i_set else 0)
-    poly = polynomials.peak_coeffs(i_set, center, cap=config.cap)
-    _emit_polynomial(poly, config.fmt, f"p({_set_str(i_set)},n)")
-    return 0
+    poly = polynomials.peak_coeffs(i_set, _center(args, i_set), cap=cap)
+    return _polynomial(poly, f"p({_set_str(i_set)},n)")
 
 
-def _cmd_count(config: CliConfig, args: argparse.Namespace) -> int:
+def _cmd_count(args: argparse.Namespace, cap: int) -> Output:
     positions = parse_positions(args.set)
-    n = args.n
+    n, name = args.n, _set_str(positions)
+    header = ("kind", "set", "n", "count")
     if args.kind == "descent":
         value = enumeration.count_descent_class(positions, n)
-        payload: dict[str, Any] = {
-            "kind": "descent", "set": list(positions), "n": n, "count": str(value),
-        }
-        text = f"|D({_set_str(positions)},{n})| = {value}"
-        rows = [("descent", _set_str(positions), n, value)]
-    else:
-        size = enumeration.count_peak_class(positions, n)
-        scaled = enumeration.scale_peak_count(size, positions, n)
-        payload = {
-            "kind": "peak", "set": list(positions), "n": n,
-            "class_size": str(size), "scaled_count": str(scaled),
-        }
-        text = (f"|P({_set_str(positions)},{n})| = {size}\n"
-                f"p({_set_str(positions)},{n}) = {scaled}")
-        rows = [("peak", _set_str(positions), n, size)]
-    if config.fmt == "json":
-        _print_json(payload)
-    elif config.fmt == "csv":
-        _print_csv(("kind", "set", "n", "count"), rows)
-    else:
-        print(text)
-    return 0
+        return Output({"kind": "descent", "set": list(positions), "n": n, "count": str(value)},
+                      header, [("descent", name, n, value)], [f"|D({name},{n})| = {value}"])
+    if not is_admissible(positions):
+        raise ValueError(f"not an admissible peak set: {positions}")
+    size = enumeration.count_peak_class(positions, n)
+    scaled = enumeration.scale_peak_count(size, positions, n)
+    payload = {"kind": "peak", "set": list(positions), "n": n,
+               "class_size": str(size), "scaled_count": str(scaled)}
+    return Output(payload, header, [("peak", name, n, size)],
+                  [f"|P({name},{n})| = {size}", f"p({name},{n}) = {scaled}"])
 
 
-def _cmd_expand(config: CliConfig, args: argparse.Namespace) -> int:
+def _cmd_expand(args: argparse.Namespace, cap: int) -> Output:
     s = parse_positions(args.set)
     n = args.n
     total = enumeration.count_descent_class(s, n)
@@ -204,115 +195,82 @@ def _cmd_expand(config: CliConfig, args: argparse.Namespace) -> int:
         for r in range(len(spikes) + 1)
         for subset in itertools.combinations(spikes, r) if is_admissible(subset)
     ]
-    if config.fmt == "json":
-        _print_json({
-            "set": list(s), "n": n, "spikes": list(spikes),
-            "descent_count": str(total),
-            "terms": [{"spikes": list(sub), "value": str(v)} for sub, v in terms],
-        })
-    elif config.fmt == "csv":
-        _print_csv(("spikes", "value"),
-                   [(_set_str(sub), v) for sub, v in terms] + [("total", total)])
-    else:
-        print(f"d({_set_str(s)},{n}) = {total}, spikes {_set_str(spikes)}")
-        for subset, value in terms:
-            print(f"  p({_set_str(subset)},{n}) = {value}")
-        check = sum(v for _, v in terms)
-        print(f"  sum = {check}")
-    return 0
+    payload = {
+        "set": list(s), "n": n, "spikes": list(spikes), "descent_count": str(total),
+        "terms": [{"spikes": list(sub), "value": str(v)} for sub, v in terms],
+    }
+    text = [f"d({_set_str(s)},{n}) = {total}, spikes {_set_str(spikes)}"]
+    text += [f"  p({_set_str(subset)},{n}) = {value}" for subset, value in terms]
+    text.append(f"  sum = {sum(v for _, v in terms)}")
+    return Output(payload, ("spikes", "value"),
+                  [(_set_str(sub), v) for sub, v in terms] + [("total", total)], text)
 
 
-def _cmd_moebius(config: CliConfig, args: argparse.Namespace) -> int:
+def _cmd_moebius(args: argparse.Namespace, cap: int) -> Output:
     i_set = parse_positions(args.set)
     n = args.n
     terms = polynomials.moebius_terms(i_set, n)
     total = sum(sign * value for _, _, sign, value in terms)
-    if config.fmt == "json":
-        _print_json({
-            "set": list(i_set), "n": n, "value": str(total),
-            "terms": [
-                {"subset": list(sub), "descent_set": list(s_j),
-                 "sign": sign, "value": str(v)}
-                for sub, s_j, sign, v in terms
-            ],
-        })
-    elif config.fmt == "csv":
-        _print_csv(("subset", "descent_set", "sign", "value"),
-                   [(_set_str(sub), _set_str(s_j), sign, v)
-                    for sub, s_j, sign, v in terms])
-    else:
-        print(f"p({_set_str(i_set)},{n}) = {total}")
-        for subset, s_j, sign, value in terms:
-            mark = "+" if sign > 0 else "-"
-            print(f"  {mark} d({_set_str(s_j)},{n}) = {value}   [J = {_set_str(subset)}]")
-    return 0
+    payload = {
+        "set": list(i_set), "n": n, "value": str(total),
+        "terms": [
+            {"subset": list(sub), "descent_set": list(s_j), "sign": sign, "value": str(v)}
+            for sub, s_j, sign, v in terms
+        ],
+    }
+    text = [f"p({_set_str(i_set)},{n}) = {total}"]
+    text += [f"  {'+' if sign > 0 else '-'} d({_set_str(s_j)},{n}) = {value}"
+             f"   [J = {_set_str(subset)}]" for subset, s_j, sign, value in terms]
+    return Output(payload, ("subset", "descent_set", "sign", "value"),
+                  [(_set_str(sub), _set_str(s_j), sign, v) for sub, s_j, sign, v in terms],
+                  text)
 
 
-def _cmd_flips(config: CliConfig, args: argparse.Namespace) -> int:
+def _cmd_flips(args: argparse.Namespace, cap: int) -> Output:
     p = parse_permutation(args.permutation)
     profile = flips.flip_profile(p)
     peaks = set(peak_set(p))
     entries = []
+    text = [f"{_perm_str(p)}: spikes {_set_str(spike_set(p))}"]
     for i in sorted(profile):
         admission = profile[i]
+        kind = "peak" if i in peaks else "valley"
         entry: dict[str, Any] = {
-            "position": i,
-            "kind": "peak" if i in peaks else "valley",
-            "plus": admission.plus,
-            "minus": admission.minus,
-            "admits": admission.admits,
+            "position": i, "kind": kind,
+            "plus": admission.plus, "minus": admission.minus, "admits": admission.admits,
         }
         if admission.admits:
-            entry["image"] = list(flips.psi(p, i))
+            image = flips.psi(p, i)
+            entry["image"] = list(image)
+            which = f"{i}+" if admission.plus else f"{i}-"
+            text.append(f"  spike {i} ({kind}): admits {which} -> {_perm_str(image)}")
+        else:
+            text.append(f"  spike {i} ({kind}): no flip")
         entries.append(entry)
-    if config.fmt == "json":
-        _print_json({
-            "permutation": list(p),
-            "spikes": list(spike_set(p)),
-            "profile": entries,
-        })
-    elif config.fmt == "csv":
-        _print_csv(("position", "kind", "plus", "minus", "admits"),
-                   [(e["position"], e["kind"], int(e["plus"]), int(e["minus"]),
-                     int(e["admits"])) for e in entries])
-    else:
-        print(f"{_perm_str(p)}: spikes {_set_str(spike_set(p))}")
-        for e in entries:
-            if e["admits"]:
-                which = f"{e['position']}+" if e["plus"] else f"{e['position']}-"
-                image = _perm_str(tuple(e["image"]))
-                print(f"  spike {e['position']} ({e['kind']}): admits {which} "
-                      f"-> {image}")
-            else:
-                print(f"  spike {e['position']} ({e['kind']}): no flip")
-    return 0
+    payload = {"permutation": list(p), "spikes": list(spike_set(p)), "profile": entries}
+    return Output(payload, ("position", "kind", "plus", "minus", "admits"),
+                  [(e["position"], e["kind"], int(e["plus"]), int(e["minus"]),
+                    int(e["admits"])) for e in entries],
+                  text)
 
 
-def _cmd_table1(config: CliConfig, args: argparse.Namespace) -> int:
+def _cmd_table1(args: argparse.Namespace, cap: int) -> Output:
     i_set = parse_positions(args.set)
-    center = config.center if config.center is not None else (max(i_set) if i_set else 0)
-    table = polynomials.flip_admission_table(i_set, center, cap=config.cap)
-    if config.fmt == "json":
-        _print_json(table.to_json_dict())
-    elif config.fmt == "csv":
-        header = ("k", "permutation") + tuple(f"flip_{i}" for i in table.spikes)
-        rows = [
-            (k, _perm_str(row.permutation)) + tuple(int(flag) for flag in row.admits)
-            for k, block in enumerate(table.blocks)
-            for row in block
-        ]
-        _print_csv(header, rows)
-    else:
-        print(f"D({_set_str(flips.canonical_descent_set(i_set))},{2 * center}) "
-              f"rows meeting the initial-set condition, spikes {_set_str(i_set)}")
-        for k, block in enumerate(table.blocks):
-            print(f"k={k}  ({len(block)} rows)")
-            for row in block:
-                flags = "  ".join(
-                    f"{i}:{CHECK if flag else CROSS}"
-                    for i, flag in zip(table.spikes, row.admits))
-                print(f"  {_perm_str(row.permutation)}  {flags}")
-    return 0
+    center = _center(args, i_set)
+    table = polynomials.flip_admission_table(i_set, center, cap=cap)
+    text = [f"D({_set_str(flips.canonical_descent_set(i_set))},{2 * center}) "
+            f"rows meeting the initial-set condition, spikes {_set_str(i_set)}"]
+    for k, block in enumerate(table.blocks):
+        text.append(f"k={k}  ({len(block)} rows)")
+        text += [f"  {_perm_str(row.permutation)}  "
+                 + "  ".join(f"{i}:{CHECK if flag else CROSS}"
+                             for i, flag in zip(table.spikes, row.admits))
+                 for row in block]
+    return Output(table.to_json_dict(),
+                  ("k", "permutation") + tuple(f"flip_{i}" for i in table.spikes),
+                  [(k, _perm_str(row.permutation)) + tuple(int(flag) for flag in row.admits)
+                   for k, block in enumerate(table.blocks) for row in block],
+                  text)
 
 
 # ---------------------------------------------------------------------------
@@ -354,29 +312,24 @@ def _verification_reports(claim: str | None, max_n: int,
     return reports
 
 
-def _cmd_verify(config: CliConfig, args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace, cap: int) -> Output:
     if args.claim is not None and args.claim not in CLAIMS:
         raise ValueError(f"unknown claim {args.claim!r}; choose from {', '.join(CLAIMS)}")
-    reports = _verification_reports(args.claim, args.max_n, config.cap)
-    failures = [r for r in reports if not r.passed]
-    if config.fmt == "json":
-        _print_json([r.to_json_dict() for r in reports])
-        print(f"{len(reports) - len(failures)}/{len(reports)} checks passed",
-              file=sys.stderr)
-    elif config.fmt == "csv":
-        _print_csv(("claim", "params", "passed", "checked"),
-                   [(r.claim, json.dumps(r.params), int(r.passed), r.checked)
-                    for r in reports])
-    else:
-        for r in reports:
-            status = "PASS" if r.passed else "FAIL"
-            params = ", ".join(f"{k}={v}" for k, v in r.params.items())
-            line = f"{status}  {r.claim}  ({params})  [{r.checked} cases]"
-            if not r.passed:
-                line += f"  counterexample: {r.counterexample}"
-            print(line)
-        print(f"{len(reports) - len(failures)}/{len(reports)} checks passed")
-    return 1 if failures else 0
+    if args.max_n < 1:
+        raise ValueError(f"--max-n must be at least 1, got {args.max_n}")
+    reports = _verification_reports(args.claim, args.max_n, cap)
+    passed = sum(r.passed for r in reports)
+    text = []
+    for r in reports:
+        params = ", ".join(f"{k}={v}" for k, v in r.params.items())
+        line = f"{'PASS' if r.passed else 'FAIL'}  {r.claim}  ({params})  [{r.checked} cases]"
+        if not r.passed:
+            line += f"  counterexample: {r.counterexample}"
+        text.append(line)
+    return Output([r.to_json_dict() for r in reports], ("claim", "params", "passed", "checked"),
+                  [(r.claim, r.params, int(r.passed), r.checked) for r in reports],
+                  text, note=f"{passed}/{len(reports)} checks passed",
+                  code=0 if passed == len(reports) else 1)
 
 
 # ---------------------------------------------------------------------------
@@ -455,14 +408,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv: Sequence[str] | None = None) -> int:
     """Parse arguments, dispatch, and return the process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = _config_from(args)
-        return args.handler(config, args)
-    except CapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        cap = resolve_cap(args.cap if args.cap is not None else _env_int("PEAKPOLY_CAP"))
+        return _emit(args.handler(args, cap), args.format)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -7,9 +7,7 @@ Conventions used throughout the package:
   values form a permutation of 1..n.
 - Positions are 1-based: position i compares the values at i and i+1,
   so descent positions live in 1..n-1.
-- Position sets are sorted tuples of ints; ``positions_to_mask`` and
-  ``mask_to_positions`` convert them to and from integer bitmasks
-  (bit i <-> position i).
+- Position sets are sorted tuples of ints.
 """
 from __future__ import annotations
 
@@ -23,7 +21,7 @@ Positions = tuple[int, ...]
 #: Largest n the exhaustive generators touch unless a caller overrides it.
 DEFAULT_CAP = 12
 
-#: Hard ceiling for position bitmasks (and hence for any configured cap).
+#: Hard ceiling for any configured listing cap.
 MAX_CAP = 63
 
 
@@ -93,31 +91,6 @@ def position_set(positions: Iterable[int], n: int | None = None) -> Positions:
     if n is not None and s and s[-1] >= n:
         raise ValueError(f"position {s[-1]} out of range 1..{n - 1}")
     return s
-
-
-def positions_to_mask(positions: Iterable[int]) -> int:
-    """Pack positions into a bitmask (bit i set iff position i is a member)."""
-    mask = 0
-    for i in positions:
-        if not 1 <= i <= MAX_CAP - 1:
-            raise ValueError(f"position {i} outside the bitmask range 1..{MAX_CAP - 1}")
-        mask |= 1 << i
-    return mask
-
-
-def mask_to_positions(mask: int) -> Positions:
-    """Unpack a position bitmask into a sorted tuple."""
-    if mask < 0:
-        raise ValueError("mask must be nonnegative")
-    out = []
-    pos = 1
-    m = mask >> 1
-    while m:
-        if m & 1:
-            out.append(pos)
-        m >>= 1
-        pos += 1
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

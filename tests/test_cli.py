@@ -170,11 +170,19 @@ def test_verify_text_summary(capsys):
     out = out_of(capsys)
     assert "PASS" in out and "FAIL" not in out
     assert "4/4 checks passed" in out
+    assert run(["verify", "--claim", "marked-lemma", "--max-n", "1", "--format", "csv"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[1].startswith("marked-lemma,")
+    assert captured.err == "1/1 checks passed\n"
 
 
 def test_argument_errors_exit_2(capsys):
     assert run(["peak-poly", "2,3"]) == 2
+    assert run(["count", "peak", "2,3", "6"]) == 2
+    assert "not an admissible peak set" in capsys.readouterr().err
     assert run(["count", "descent", "3", "2"]) == 2
+    assert run(["verify", "--max-n", "0"]) == 2
+    assert "--max-n" in capsys.readouterr().err
     assert run(["verify", "--claim", "bogus"]) == 2
     assert run(["flips", "1123"]) == 2
     with pytest.raises(SystemExit) as exc:

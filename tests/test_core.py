@@ -174,14 +174,6 @@ def test_position_set_normalizes():
     assert pp.position_set([4], n=5) == (4,)
 
 
-def test_mask_round_trip(rng):
-    assert pp.positions_to_mask(()) == 0
-    assert pp.mask_to_positions(0) == ()
-    for _ in range(500):
-        members = tuple(sorted(rng.sample(range(1, 63), rng.randint(0, 10))))
-        assert pp.mask_to_positions(pp.positions_to_mask(members)) == members
-
-
 def test_resolve_cap():
     assert pp.resolve_cap(None) == pp.DEFAULT_CAP == 12
     assert pp.resolve_cap(63) == pp.MAX_CAP == 63
