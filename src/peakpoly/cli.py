@@ -19,7 +19,6 @@ import argparse
 import csv
 import itertools
 import json
-import os
 import sys
 from typing import Any, NamedTuple, Sequence
 
@@ -30,7 +29,6 @@ from .core import (
     as_permutation,
     is_admissible,
     peak_set,
-    resolve_cap,
     spike_set,
     spikes_of,
 )
@@ -48,16 +46,6 @@ class Output(NamedTuple):
     text: Sequence[str]
     note: str | None = None
     code: int = 0
-
-
-def _env_int(name: str) -> int | None:
-    raw = os.environ.get(name)
-    if raw is None or not raw.strip():
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"environment variable {name} must be an integer, got {raw!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -155,19 +143,19 @@ def _center(args: argparse.Namespace, positions: Positions) -> int:
 # Subcommand handlers (each returns an Output and prints nothing)
 # ---------------------------------------------------------------------------
 
-def _cmd_descent_poly(args: argparse.Namespace, cap: int) -> Output:
+def _cmd_descent_poly(args: argparse.Namespace) -> Output:
     s = parse_positions(args.set)
-    poly = polynomials.descent_coeffs(s, _center(args, s), cap=cap)
+    poly = polynomials.descent_coeffs(s, _center(args, s))
     return _polynomial(poly, f"d({_set_str(s)},n)")
 
 
-def _cmd_peak_poly(args: argparse.Namespace, cap: int) -> Output:
+def _cmd_peak_poly(args: argparse.Namespace) -> Output:
     i_set = parse_positions(args.set)
-    poly = polynomials.peak_coeffs(i_set, _center(args, i_set), cap=cap)
+    poly = polynomials.peak_coeffs(i_set, _center(args, i_set))
     return _polynomial(poly, f"p({_set_str(i_set)},n)")
 
 
-def _cmd_count(args: argparse.Namespace, cap: int) -> Output:
+def _cmd_count(args: argparse.Namespace) -> Output:
     positions = parse_positions(args.set)
     n, name = args.n, _set_str(positions)
     header = ("kind", "set", "n", "count")
@@ -185,16 +173,12 @@ def _cmd_count(args: argparse.Namespace, cap: int) -> Output:
                   [f"|P({name},{n})| = {size}", f"p({name},{n}) = {scaled}"])
 
 
-def _cmd_expand(args: argparse.Namespace, cap: int) -> Output:
+def _cmd_expand(args: argparse.Namespace) -> Output:
     s = parse_positions(args.set)
     n = args.n
     total = enumeration.count_descent_class(s, n)
     spikes = spikes_of(s, n)
-    terms = [
-        (subset, enumeration.peak_poly_value(subset, n))
-        for r in range(len(spikes) + 1)
-        for subset in itertools.combinations(spikes, r) if is_admissible(subset)
-    ]
+    terms = polynomials.spike_terms(s, n)
     payload = {
         "set": list(s), "n": n, "spikes": list(spikes), "descent_count": str(total),
         "terms": [{"spikes": list(sub), "value": str(v)} for sub, v in terms],
@@ -206,7 +190,7 @@ def _cmd_expand(args: argparse.Namespace, cap: int) -> Output:
                   [(_set_str(sub), v) for sub, v in terms] + [("total", total)], text)
 
 
-def _cmd_moebius(args: argparse.Namespace, cap: int) -> Output:
+def _cmd_moebius(args: argparse.Namespace) -> Output:
     i_set = parse_positions(args.set)
     n = args.n
     terms = polynomials.moebius_terms(i_set, n)
@@ -226,7 +210,7 @@ def _cmd_moebius(args: argparse.Namespace, cap: int) -> Output:
                   text)
 
 
-def _cmd_flips(args: argparse.Namespace, cap: int) -> Output:
+def _cmd_flips(args: argparse.Namespace) -> Output:
     p = parse_permutation(args.permutation)
     profile = flips.flip_profile(p)
     peaks = set(peak_set(p))
@@ -254,10 +238,10 @@ def _cmd_flips(args: argparse.Namespace, cap: int) -> Output:
                   text)
 
 
-def _cmd_table1(args: argparse.Namespace, cap: int) -> Output:
+def _cmd_table1(args: argparse.Namespace) -> Output:
     i_set = parse_positions(args.set)
     center = _center(args, i_set)
-    table = polynomials.flip_admission_table(i_set, center, cap=cap)
+    table = polynomials.flip_admission_table(i_set, center)
     text = [f"D({_set_str(flips.canonical_descent_set(i_set))},{2 * center}) "
             f"rows meeting the initial-set condition, spikes {_set_str(i_set)}"]
     for k, block in enumerate(table.blocks):
@@ -280,8 +264,7 @@ def _cmd_table1(args: argparse.Namespace, cap: int) -> Output:
 CLAIMS = ("marked-lemma", "spike-sum", "flip-bijection", "flip-table")
 
 
-def _verification_reports(claim: str | None, max_n: int,
-                          cap: int) -> list[verify.VerificationReport]:
+def _verification_reports(claim: str | None, max_n: int) -> list[verify.VerificationReport]:
     reports = []
     if claim in (None, "marked-lemma"):
         for n in range(1, min(max_n, 7) + 1):
@@ -305,19 +288,17 @@ def _verification_reports(claim: str | None, max_n: int,
                 for j_sub in itertools.combinations(i_set, r):
                     reports.append(verify.check_flip_bijection(i_set, j_sub, n))
     if claim in (None, "flip-table"):
-        # Gated by the cap alone: with these sets each scan is at most 8!.
         for i_set in ((2,), (3,), (4,), (2, 4)):
-            if 2 * max(i_set) <= cap:
-                reports.append(verify.check_flip_table_partition(i_set, max(i_set)))
+            reports.append(verify.check_flip_table_partition(i_set, max(i_set)))
     return reports
 
 
-def _cmd_verify(args: argparse.Namespace, cap: int) -> Output:
+def _cmd_verify(args: argparse.Namespace) -> Output:
     if args.claim is not None and args.claim not in CLAIMS:
         raise ValueError(f"unknown claim {args.claim!r}; choose from {', '.join(CLAIMS)}")
     if args.max_n < 1:
         raise ValueError(f"--max-n must be at least 1, got {args.max_n}")
-    reports = _verification_reports(args.claim, args.max_n, cap)
+    reports = _verification_reports(args.claim, args.max_n)
     passed = sum(r.passed for r in reports)
     text = []
     for r in reports:
@@ -340,8 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json", "csv"),
                         default="text", help="output format (default: text)")
-    common.add_argument("--cap", type=int, default=None, metavar="N",
-                        help="enumeration size cap (default: 12, env PEAKPOLY_CAP)")
 
     parser = argparse.ArgumentParser(
         prog="peakpoly",
@@ -410,8 +389,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     """Parse arguments, dispatch, and return the process exit code."""
     args = build_parser().parse_args(argv)
     try:
-        cap = resolve_cap(args.cap if args.cap is not None else _env_int("PEAKPOLY_CAP"))
-        return _emit(args.handler(args, cap), args.format)
+        return _emit(args.handler(args), args.format)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

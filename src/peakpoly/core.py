@@ -12,30 +12,29 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Iterable, Iterator, Sequence
 
 Perm = tuple[int, ...]
 SignedPerm = tuple[int, ...]
 Positions = tuple[int, ...]
 
-#: Largest n the exhaustive generators touch unless a caller overrides it.
-DEFAULT_CAP = 12
-
-#: Hard ceiling for any configured listing cap.
-MAX_CAP = 63
+#: Most steps one request may take: prefixes listed, engine cells filled,
+#: markings or permutations scanned, each at most a few microseconds.
+MAX_STEPS = 5 * 10**6
 
 
 class CapExceeded(ValueError):
-    """An enumeration would exceed the configured size cap."""
+    """A request would take more than MAX_STEPS steps."""
 
 
-def resolve_cap(cap: int | None) -> int:
-    """Normalize a per-call cap override, enforcing the hard ceiling."""
-    if cap is None:
-        return DEFAULT_CAP
-    if not 1 <= cap <= MAX_CAP:
-        raise ValueError(f"cap must be in 1..{MAX_CAP}, got {cap}")
-    return cap
+def check_cost(steps: float, what: str) -> None:
+    """Raise CapExceeded when ``what`` takes more than MAX_STEPS steps;
+    infinite ``steps`` stand for a count that stopped past the limit."""
+    if steps == math.inf:
+        raise CapExceeded(f"{what} takes more than the limit of {MAX_STEPS} steps")
+    if steps > MAX_STEPS:
+        raise CapExceeded(f"{what} takes {steps} steps, over the limit of {MAX_STEPS}")
 
 
 # ---------------------------------------------------------------------------
@@ -174,9 +173,7 @@ def peaks_of(s: Iterable[int], n: int) -> Positions:
 def valleys_of(s: Iterable[int], n: int) -> Positions:
     """Valleys of a descent set: non-members in 2..n-1 preceded by a member."""
     members = set(position_set(s, n))
-    return tuple(sorted(
-        i for i in range(2, n) if i not in members and i - 1 in members
-    ))
+    return tuple(sorted(i + 1 for i in members if i + 1 not in members and i + 1 < n))
 
 
 def spikes_of(s: Iterable[int], n: int) -> Positions:
@@ -200,18 +197,14 @@ def is_admissible(s: Iterable[int]) -> bool:
 # Signed permutations
 # ---------------------------------------------------------------------------
 
-def markings(p: Sequence[int], cap: int | None = None) -> Iterator[SignedPerm]:
+def markings(p: Sequence[int]) -> Iterator[SignedPerm]:
     """Yield all 2^n sign patterns applied to the values of ``p``.
 
     The all-positive pattern comes first, so ``p`` itself is the first
-    item yielded. Raises CapExceeded for n above the enumeration cap.
+    item yielded. Raises CapExceeded past MAX_STEPS markings.
     """
     n = len(p)
-    if n > resolve_cap(cap):
-        raise CapExceeded(
-            f"marking a permutation of {n} would enumerate 2^{n} items; "
-            f"cap is {resolve_cap(cap)}"
-        )
+    check_cost(2 ** n, f"marking a permutation of {n}")
     values = tuple(p)
     for signs in itertools.product((1, -1), repeat=n):
         yield tuple(s * v for s, v in zip(signs, values))

@@ -17,15 +17,16 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 from typing import Iterable, Iterator
 
 from .core import (
-    CapExceeded,
+    MAX_STEPS,
     Perm,
     Positions,
+    check_cost,
     is_admissible,
     position_set,
-    resolve_cap,
 )
 
 
@@ -118,24 +119,37 @@ def _arrangements(pattern: _Pattern, prefix: Perm, remaining: tuple[int, ...],
 # Streams
 # ---------------------------------------------------------------------------
 
-def enumerate_descent_class(q: DescentClassQuery, *, cap: int | None = None) -> Iterator[Perm]:
+def _listing_steps(pattern: _Pattern, n: int, depth: int) -> float:
+    """The prefixes of length up to ``depth`` that ``_arrangements`` visits
+    on n values, math.inf once past MAX_STEPS: a k-prefix decides the
+    positions below k, so C(n,k) value sets times their engine count."""
+    steps = 0
+    for k in range(depth + 1):
+        below = _Pattern(frozenset(i for i in pattern.positions if i < k), pattern.peaks)
+        steps += math.comb(n, k) * _completions(below, (), k)
+        if steps > MAX_STEPS:
+            return math.inf
+    return steps
+
+
+def enumerate_descent_class(q: DescentClassQuery) -> Iterator[Perm]:
     """Yield the permutations with descent set exactly ``q.descents``, in lex order."""
-    if q.n > resolve_cap(cap):
-        raise CapExceeded(f"n={q.n} exceeds the enumeration cap {resolve_cap(cap)}")
-    return _arrangements(_pattern(q), (), tuple(range(1, q.n + 1)))
+    pattern = _pattern(q)
+    check_cost(_listing_steps(pattern, q.n, q.n), f"listing D({list(q.descents)},{q.n})")
+    return _arrangements(pattern, (), tuple(range(1, q.n + 1)))
 
 
-def enumerate_peak_class(q: PeakClassQuery, *, cap: int | None = None) -> Iterator[Perm]:
+def enumerate_peak_class(q: PeakClassQuery) -> Iterator[Perm]:
     """Yield the permutations with peak set exactly ``q.peaks``, in lex order.
 
     A non-admissible peak set (position 1 or consecutive positions)
     yields nothing: no permutation realizes it.
     """
-    if q.n > resolve_cap(cap):
-        raise CapExceeded(f"n={q.n} exceeds the enumeration cap {resolve_cap(cap)}")
     if not is_admissible(q.peaks):
         return iter(())
-    return _arrangements(_pattern(q), (), tuple(range(1, q.n + 1)))
+    pattern = _pattern(q)
+    check_cost(_listing_steps(pattern, q.n, q.n), f"listing P({list(q.peaks)},{q.n})")
+    return _arrangements(pattern, (), tuple(range(1, q.n + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -193,14 +207,15 @@ def _completions(pattern: _Pattern, prefix: Perm, n: int) -> int:
 def count_descent_class(s: Iterable[int], n: int) -> int:
     """|D(S,n)| by the transfer-matrix engine; exact for any n.
 
-    Costs O(n^2) big-integer additions whatever the size of S, so it
-    needs no enumeration cap.
+    Costs n(n+1)/2 engine cells of big-integer additions whatever the
+    size of S; CapExceeded when they pass MAX_STEPS.
     """
     s = position_set(s)
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     if s and s[-1] >= n:
         raise ValueError(f"descent position {s[-1]} needs n > {s[-1]}, got n={n}")
+    check_cost(n * (n + 1) // 2, f"counting D({list(s)},{n})")
     return _completions(_Pattern(frozenset(s), peaks=False), (), n)
 
 
@@ -221,10 +236,11 @@ def scale_peak_count(size: int, i: Positions, n: int) -> int:
 def count_peak_class(i: Iterable[int], n: int) -> int:
     """|P(I,n)| by the transfer-matrix engine; exact for any n.
 
-    Costs O(n^2) big-integer additions, so it needs no enumeration cap.
+    Costs n(n+1)/2 engine cells; CapExceeded when they pass MAX_STEPS.
     A non-admissible I gives 0: no permutation realizes it.
     """
     q = PeakClassQuery(i, n)
+    check_cost(q.n * (q.n + 1) // 2, f"counting P({list(q.peaks)},{q.n})")
     return _completions(_pattern(q), (), q.n)
 
 
@@ -237,23 +253,23 @@ def peak_poly_value(i: Iterable[int], n: int) -> int:
     return scale_peak_count(count_peak_class(i, n), i, n)
 
 
-def parallel_count(query: Query, partition_depth: int = 0, *,
-                   cap: int | None = None) -> int:
+def parallel_count(query: Query, partition_depth: int = 0) -> int:
     """Exact class size as a sum of independent per-prefix counts.
 
     Every pattern-consistent way of committing the first
     ``partition_depth`` one-line entries is listed, and the completions
     of each prefix are counted on their own by the transfer-matrix
     engine. The result does not depend on the depth, which makes it a
-    check of the engine; listing the prefixes puts n under the cap.
+    check of the engine, whose n(n+1)/2 cells each listed prefix costs.
     """
     pattern = _pattern(query)
     n = query.n
     if not 0 <= partition_depth <= n:
         raise ValueError(f"partition depth must be in 0..{n}, got {partition_depth}")
-    if n > resolve_cap(cap):
-        raise CapExceeded(f"n={n} exceeds the enumeration cap {resolve_cap(cap)}")
     if pattern.peaks and not is_admissible(query.peaks):
         return 0
+    check_cost(_listing_steps(pattern, n, partition_depth) * (n * (n + 1) // 2),
+               f"counting {'P' if pattern.peaks else 'D'}({sorted(pattern.positions)},{n})"
+               f" by prefixes of length {partition_depth}")
     prefixes = _arrangements(pattern, (), tuple(range(1, n + 1)), n - partition_depth)
     return sum(_completions(pattern, prefix, n) for prefix in prefixes)

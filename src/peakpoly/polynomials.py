@@ -12,20 +12,21 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 import warnings
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .core import (
-    CapExceeded,
     Perm,
     Positions,
+    check_cost,
     is_admissible,
     position_set,
-    resolve_cap,
     spikes_of,
 )
 from .enumeration import (
     _arrangements,
+    _listing_steps,
     _Pattern,
     count_descent_class,
     peak_poly_value,
@@ -167,6 +168,9 @@ def prefix_interval_class(s: Iterable[int], m: int, k: int) -> Iterator[Perm]:
     if not 0 <= k <= m:
         raise ValueError(f"k must be in 0..{m}, got {k}")
     pattern = _Pattern(frozenset(s), peaks=False)
+    steps = _listing_steps(pattern, m, m)  # inf spares computing a huge C(m,k)
+    check_cost(steps * math.comb(m, k) if steps < math.inf else steps,
+               f"listing block {k} of D({list(s)},{2 * m})")
     boundary_descent = m in s
     found: list[Perm] = []
     high = tuple(range(m + 1, m + k + 1))
@@ -180,12 +184,16 @@ def prefix_interval_class(s: Iterable[int], m: int, k: int) -> Iterator[Perm]:
     return iter(found)
 
 
-def _from_values(values: list[int], m: int) -> BinomialPolynomial:
-    """The polynomial at center m that takes ``values`` at n = m+1, ..., 2m+1.
+def _from_values(count: Callable, positions: Positions, m: int, name: str) -> BinomialPolynomial:
+    """The polynomial ``name`` at center m from ``count(positions, n)`` at
+    n = m+1, ..., 2m+1, whose engine cells are C(2m+3,3) - C(m+2,3).
 
     The k-th forward difference at n = m+1 is the coefficient of
     C(n-m-1, k); a degree of at most m leaves the last basis term 0.
     """
+    check_cost(math.comb(2 * m + 3, 3) - math.comb(m + 2, 3),
+               f"computing {name}({list(positions)},n) at center {m}")
+    values = [count(positions, n) for n in range(m + 1, 2 * m + 2)]
     coeffs = []
     while values:
         coeffs.append(values[0])
@@ -193,32 +201,29 @@ def _from_values(values: list[int], m: int) -> BinomialPolynomial:
     return BinomialPolynomial(m + 1, tuple(coeffs) + (0,)).recenter(m)
 
 
-def _at_center(positions: Iterable[int], m: int, cap: int | None, *,
-               peaks: bool) -> Positions:
+def _at_center(positions: Iterable[int], m: int, *, peaks: bool) -> Positions:
     """The normalized set S (or admissible I, with ``peaks``), once the
-    center m reaches its maximum and 2m fits the cap."""
+    center m reaches its maximum."""
     positions = position_set(positions)
     if peaks and not is_admissible(positions):
         raise ValueError(f"not an admissible peak set: {positions}")
     if positions and m < positions[-1]:
         raise ValueError(f"center {m} is below max({'I' if peaks else 'S'}) = {positions[-1]}")
-    if 2 * m > resolve_cap(cap):
-        raise CapExceeded(f"2m={2 * m} exceeds the enumeration cap {resolve_cap(cap)}")
     return positions
 
 
-def descent_coeffs(s: Iterable[int], m: int, *, cap: int | None = None) -> BinomialPolynomial:
+def descent_coeffs(s: Iterable[int], m: int) -> BinomialPolynomial:
     """Coefficients of the descent polynomial d(S,n) at center m.
 
     Read off the exact counts d(S,n) at n = m+1, ..., 2m+1. The paper's
     reading, c_k = the number of rows of ``prefix_interval_class(S, m, k)``,
     is the cross-check. Requires m >= max(S).
     """
-    s = _at_center(s, m, cap, peaks=False)
-    return _from_values([count_descent_class(s, n) for n in range(m + 1, 2 * m + 2)], m)
+    s = _at_center(s, m, peaks=False)
+    return _from_values(count_descent_class, s, m, "d")
 
 
-def peak_coeffs(i_set: Iterable[int], m: int, *, cap: int | None = None) -> BinomialPolynomial:
+def peak_coeffs(i_set: Iterable[int], m: int) -> BinomialPolynomial:
     """Coefficients of the peak polynomial p(I,n) at center m.
 
     Read off the exact values p(I,n) at n = m+1, ..., 2m+1. The paper's
@@ -226,8 +231,8 @@ def peak_coeffs(i_set: Iterable[int], m: int, *, cap: int | None = None) -> Bino
     ``flip_admission_table(I, m)``, hence c_k >= 0, is the cross-check.
     Requires admissible I and m >= max(I).
     """
-    i_set = _at_center(i_set, m, cap, peaks=True)
-    return _from_values([peak_poly_value(i_set, n) for n in range(m + 1, 2 * m + 2)], m)
+    i_set = _at_center(i_set, m, peaks=True)
+    return _from_values(peak_poly_value, i_set, m, "p")
 
 
 # ---------------------------------------------------------------------------
@@ -270,15 +275,17 @@ class FlipTable:
         }
 
 
-def flip_admission_table(i_set: Iterable[int], m: int, *,
-                         cap: int | None = None) -> FlipTable:
+def flip_admission_table(i_set: Iterable[int], m: int) -> FlipTable:
     """For each k, the members of D(S_I,2m) meeting the initial-set condition,
     each row carrying its per-spike flip admissions.
 
     The rows of block k are ``prefix_interval_class(S_I, m, k)``, in lex order.
     """
-    i_set = _at_center(i_set, m, cap, peaks=True)
+    i_set = _at_center(i_set, m, peaks=True)
     s = canonical_descent_set(i_set)
+    steps = _listing_steps(_Pattern(frozenset(s), peaks=False), m, m)  # likewise 2^m
+    check_cost(steps * 2 ** m if steps < math.inf else steps,
+               f"building the flip-admission table of D({list(s)},{2 * m})")
     return FlipTable(i_set, m, tuple(
         tuple(FlipTableRow(sigma, tuple(admits_flip(sigma, i).admits for i in i_set))
               for sigma in prefix_interval_class(s, m, k))
@@ -290,29 +297,34 @@ def flip_admission_table(i_set: Iterable[int], m: int, *,
 # Expansion and inversion
 # ---------------------------------------------------------------------------
 
-def descent_poly_via_peaks(s: Iterable[int], n: int) -> int:
-    """d(S,n) as the sum of p(I,n) over subsets I of the spikes of S.
+def spike_terms(s: Iterable[int], n: int) -> list[tuple[Positions, int]]:
+    """The terms (J, p(J,n)) of d(S,n) over the admissible subsets J of the
+    spikes of S, by size and then lexicographically; one engine count each."""
+    s = position_set(s, n)
+    spikes = spikes_of(s, n)
+    check_cost(2 ** len(spikes) * n * (n + 1) // 2, f"expanding d({list(s)},{n}) over spikes")
+    return [(subset, peak_poly_value(subset, n))
+            for r in range(len(spikes) + 1)
+            for subset in itertools.combinations(spikes, r) if is_admissible(subset)]
 
-    Non-admissible subsets contribute 0. Each p(I,n) is an exact engine
-    count, so any n works.
-    """
-    spikes = spikes_of(position_set(s, n), n)
-    return sum(peak_poly_value(subset, n)
-               for r in range(len(spikes) + 1)
-               for subset in itertools.combinations(spikes, r))
+
+def descent_poly_via_peaks(s: Iterable[int], n: int) -> int:
+    """d(S,n) as the sum of p(J,n) over the admissible spike subsets J of S."""
+    return sum(value for _, value in spike_terms(s, n))
 
 
 def moebius_terms(i_set: Iterable[int], n: int) -> list[tuple[Positions, Positions, int, int]]:
     """The terms (J, S_J, sign, d(S_J,n)) of p(I,n) over the subsets J of I.
 
-    Rides on the exact descent count, so it works far beyond the
-    enumeration cap. Requires admissible I and n > max(I).
+    Each d(S_J,n) is an exact engine count, 2^|I| of them. Requires
+    admissible I and n > max(I).
     """
     i_set = position_set(i_set)
     if not is_admissible(i_set):
         raise ValueError(f"not an admissible peak set: {i_set}")
     if i_set and i_set[-1] >= n:
         raise ValueError(f"peak position {i_set[-1]} needs n > {i_set[-1]}, got n={n}")
+    check_cost(2 ** len(i_set) * n * (n + 1) // 2, f"inverting p({list(i_set)},{n}) over subsets")
     terms = []
     for r in range(len(i_set) + 1):
         sign = -1 if (len(i_set) - r) % 2 else 1

@@ -14,10 +14,11 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
+import math
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from . import enumeration, flips, polynomials
-from .core import Perm, Positions
+from .core import Perm, Positions, check_cost
 
 if TYPE_CHECKING:
     import numpy as np
@@ -330,6 +331,7 @@ def check_flip_table_partition(i_set: Iterable[int], m: int) -> VerificationRepo
     """
     i_set = tuple(sorted(set(i_set)))
     params = {"i": list(i_set), "m": m}
+    check_cost(math.factorial(2 * m), f"scanning the permutations of {2 * m}")
     public = polynomials.flip_admission_table(i_set, m)
     table = _naive_flip_table(i_set, m)
     for k, (want, got) in enumerate(zip(table.blocks, public.blocks)):

@@ -6,7 +6,7 @@ import time
 import pytest
 
 import peakpoly as pp
-from peakpoly.cli import parse_permutation, parse_positions, run
+from peakpoly.cli import CLAIMS, parse_permutation, parse_positions, run
 
 
 def out_of(capsys):
@@ -190,19 +190,39 @@ def test_argument_errors_exit_2(capsys):
     assert exc.value.code == 2
 
 
-def test_env_cap_override(capsys, monkeypatch):
-    # table1 --center 5 lists D(S,10): 2m = 10 is over a cap of 8.
+def test_env_cap_is_ignored(capsys, monkeypatch):
+    # table1 --center 5 lists D(S,10): 2m = 10 was over a cap of 8.
     monkeypatch.setenv("PEAKPOLY_CAP", "8")
-    assert run(["table1", "--set", "2,4", "--center", "5"]) == 2
-    monkeypatch.setenv("PEAKPOLY_CAP", "junk")
-    assert run(["count", "peak", "2,4", "8"]) == 2
-    monkeypatch.delenv("PEAKPOLY_CAP")
     assert run(["table1", "--set", "2,4", "--center", "5"]) == 0
+    monkeypatch.setenv("PEAKPOLY_CAP", "junk")
+    assert run(["count", "peak", "2,4", "8"]) == 0
 
 
-def test_cap_flag_beats_env(capsys, monkeypatch):
-    monkeypatch.setenv("PEAKPOLY_CAP", "8")
-    assert run(["table1", "--set", "2,4", "--center", "5", "--cap", "12"]) == 0
+def test_step_limit_refuses_at_once(capsys):
+    odd = ",".join(map(str, range(1, 30, 2)))
+    for argv in (["table1", "--set", "2,4", "--center", "14"],
+                 ["count", "descent", "2,3,7", "100000"],
+                 ["moebius", ",".join(map(str, range(2, 41, 2))), "50"],
+                 ["expand", odd, "40"]):
+        start = time.perf_counter()
+        assert run(argv) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"steps, over the limit of {pp.MAX_STEPS}\n")
+    # Each was over the old cap of 12 on 2m or on the center.
+    assert run(["peak-poly", "2,4", "--center", "7"]) == 0
+    assert run(["descent-poly", "1,5,40"]) == 0
+
+
+@pytest.mark.parametrize("claim", CLAIMS)
+def test_every_claim_runs_a_check(claim, capsys):
+    assert run(["verify", "--claim", claim, "--max-n", "1"]) == 0
+    passed, total = out_of(capsys).splitlines()[-1].split()[0].split("/")
+    assert passed == total and int(total) >= 1
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", "--claim", claim, "--cap", "12"])
+    assert exc.value.code == 2
 
 
 def test_counts_are_exact_past_the_cap(capsys):

@@ -1,8 +1,11 @@
 import itertools
+import math
+import time
 
 import pytest
 
 import peakpoly as pp
+from peakpoly.core import check_cost
 
 import oracles
 
@@ -146,10 +149,12 @@ def test_markings_golden_n2():
 
 
 def test_markings_cap():
-    p = tuple(range(1, 14))
-    with pytest.raises(pp.CapExceeded):
-        list(pp.markings(p))
-    assert len(list(pp.markings(p, cap=13))) == 2 ** 13
+    # 2^24 markings pass the step limit; 2^13 were over the old n-cap of 12.
+    start = time.perf_counter()
+    with pytest.raises(pp.CapExceeded, match="takes 16777216 steps"):
+        next(pp.markings(tuple(range(1, 25))))
+    assert time.perf_counter() - start < 1.0
+    assert len(list(pp.markings(tuple(range(1, 14))))) == 2 ** 13
 
 
 def test_validators():
@@ -174,10 +179,12 @@ def test_position_set_normalizes():
     assert pp.position_set([4], n=5) == (4,)
 
 
-def test_resolve_cap():
-    assert pp.resolve_cap(None) == pp.DEFAULT_CAP == 12
-    assert pp.resolve_cap(63) == pp.MAX_CAP == 63
-    for bad in (0, -3, 64):
-        with pytest.raises(ValueError):
-            pp.resolve_cap(bad)
+def test_check_cost():
+    check_cost(pp.MAX_STEPS, "a request at the limit")
+    limit = pp.MAX_STEPS
+    with pytest.raises(pp.CapExceeded,
+                       match=f"^one more takes {limit + 1} steps, over the limit of {limit}$"):
+        check_cost(limit + 1, "one more")
+    with pytest.raises(pp.CapExceeded, match=f"takes more than the limit of {limit} steps"):
+        check_cost(math.inf, "a count that stopped early")
     assert issubclass(pp.CapExceeded, ValueError)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import pytest
 
@@ -57,10 +58,22 @@ def test_query_validation():
 
 
 def test_enumeration_cap():
-    with pytest.raises(pp.CapExceeded):
-        list(pp.enumerate_descent_class(pp.DescentClassQuery((1,), 13)))
-    got = pp.parallel_count(pp.DescentClassQuery((1,), 13), cap=13)
-    assert got == 12
+    # Listing D(∅,n) visits 2^n prefixes, so n = 30 passes the step limit;
+    # n = 16 and 13 were over the old n-cap of 12.
+    refused = (
+        lambda: pp.enumerate_descent_class(pp.DescentClassQuery((), 30)),
+        lambda: pp.enumerate_peak_class(pp.PeakClassQuery((3, 6, 9), 12)),
+        lambda: pp.parallel_count(pp.DescentClassQuery((), 30), 30),
+    )
+    for request in refused:
+        start = time.perf_counter()
+        with pytest.raises(pp.CapExceeded,
+                           match=f"takes more than the limit of {pp.MAX_STEPS} steps"):
+            request()
+        assert time.perf_counter() - start < 1.0
+    assert list(pp.enumerate_descent_class(pp.DescentClassQuery((), 16))) == \
+        [tuple(range(1, 17))]
+    assert pp.parallel_count(pp.DescentClassQuery((1,), 13), 2) == 12
 
 
 def test_count_matches_enumeration():

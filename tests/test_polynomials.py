@@ -1,9 +1,11 @@
 import itertools
 import json
+import time
 
 import pytest
 
 import peakpoly as pp
+from peakpoly import polynomials
 
 import oracles
 
@@ -120,10 +122,11 @@ def test_descent_coeffs_golden():
 def test_descent_coeffs_validation():
     with pytest.raises(ValueError):
         pp.descent_coeffs((2, 3), 2)
-    with pytest.raises(pp.CapExceeded):
-        pp.descent_coeffs((2,), 7)  # 2m = 14 over the default cap
-    assert pp.descent_coeffs((2,), 7, cap=14).evaluate(8) == \
-        pp.count_descent_class((2,), 8)
+    # The m+1 engine counts fill about 7m^3/6 cells: m = 400 passes the
+    # step limit, while 2m = 14 was over the old cap of 12.
+    with pytest.raises(pp.CapExceeded, match="steps"):
+        pp.descent_coeffs((2,), 400)
+    assert pp.descent_coeffs((2,), 7).evaluate(8) == pp.count_descent_class((2,), 8)
 
 
 def test_descent_coeffs_evaluate_matches_counts():
@@ -180,6 +183,18 @@ def test_descent_poly_via_peaks():
                 for n in range(top + 1, 9):
                     assert pp.descent_poly_via_peaks(s, n) == \
                         pp.count_descent_class(s, n)
+
+
+def test_spike_terms_list_the_admissible_subsets():
+    assert polynomials.spike_terms((2, 3), 8) == [((), 1), ((2,), 6), ((4,), 34), ((2, 4), 44)]
+    terms = polynomials.spike_terms((1, 3), 5)  # spikes {2,3,4}
+    assert [j for j, _ in terms] == [(), (2,), (3,), (4,), (2, 4)]
+    assert sum(value for _, value in terms) == pp.count_descent_class((1, 3), 5)
+    # The spikes come from S alone, so the refusal costs nothing at any n.
+    start = time.perf_counter()
+    with pytest.raises(pp.CapExceeded, match="steps, over the limit"):
+        pp.descent_poly_via_peaks((), 10**9)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_peak_poly_via_moebius():

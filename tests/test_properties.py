@@ -5,10 +5,12 @@ Sets and sizes are drawn at random; the examples are derandomized so
 the suite stays reproducible, and capped so it stays fast.
 """
 import itertools
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
 import peakpoly as pp
+from peakpoly import enumeration
 
 import oracles
 
@@ -61,6 +63,30 @@ def test_partitioned_count_matches_depth_zero(case, peaks, data):
     assert pp.parallel_count(query, depth) == pp.parallel_count(query, 0)
 
 
+@PROPERTY
+@given(sets_and_sizes(max_n=9), st.booleans(), st.data())
+def test_listing_steps_count_the_visited_prefixes(case, peaks, data):
+    positions, n = case
+    if peaks:
+        # No permutation has a peak at 1, so the engine counts 0 where the
+        # listing never decides position 1; the listing routes return
+        # early for such a set.
+        positions = tuple(p for p in positions if p > 1)
+    pattern = enumeration._Pattern(frozenset(positions), peaks)
+    depth = data.draw(st.integers(0, n), label="depth")
+    arrangements = enumeration._arrangements
+    visited = 0
+
+    def counted(*args):
+        nonlocal visited
+        visited += 1
+        return arrangements(*args)
+
+    with mock.patch.object(enumeration, "_arrangements", counted):
+        list(counted(pattern, (), tuple(range(1, n + 1)), n - depth))
+    assert visited == enumeration._listing_steps(pattern, n, depth)
+
+
 @st.composite
 def admissible_peak_sets(draw, top):
     """An admissible peak set inside [2, top]: gaps of at least 2 from 0."""
@@ -73,7 +99,7 @@ def admissible_peak_sets(draw, top):
 @given(sets_and_sizes(min_n=1, max_n=31, max_size=10), st.data())
 def test_descent_coeffs_evaluate_to_inclusion_exclusion(case, data):
     s, m = case[0], case[1] - 1  # S inside [1, m]
-    poly = pp.descent_coeffs(s, m, cap=63)
+    poly = pp.descent_coeffs(s, m)
     n = data.draw(st.integers(max(m, max(s, default=0) + 1), 80), label="n")
     assert poly.evaluate(n) == oracles.descent_count_by_inclusion_exclusion(s, n)
 
@@ -82,7 +108,7 @@ def test_descent_coeffs_evaluate_to_inclusion_exclusion(case, data):
 @given(admissible_peak_sets(12), st.integers(0, 3), st.data())
 def test_peak_coeffs_are_nonnegative_and_match_moebius(i_set, lift, data):
     top = max(i_set, default=0)
-    poly = pp.peak_coeffs(i_set, top + lift, cap=63)
+    poly = pp.peak_coeffs(i_set, top + lift)
     assert all(c >= 0 for c in poly.coeffs)
     n = data.draw(st.integers(max(poly.center, top + 1), 60), label="n")
     assert poly.evaluate(n) == pp.peak_poly_via_moebius(i_set, n)

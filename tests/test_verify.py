@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 
@@ -82,11 +83,22 @@ def test_flip_admission_table_validation():
         pp.flip_admission_table((2, 3), 4)
     with pytest.raises(ValueError):
         pp.flip_admission_table((2, 4), 3)
-    with pytest.raises(pp.CapExceeded):
-        pp.flip_admission_table((2, 4), 7)
+    # 2^14 blocks of listings on 14 values pass the step limit; m = 7 was
+    # over the old cap of 12 on 2m.
+    with pytest.raises(pp.CapExceeded, match="takes 18602573824 steps"):
+        pp.flip_admission_table((2, 4), 14)
+    table = pp.flip_admission_table((2, 4), 7)
+    assert tuple(map(len, table.blocks)) == pp.descent_coeffs((2, 3), 7).coeffs
 
 
 def test_flip_table_partition():
     for i_set in ((2,), (3,), (4,), (2, 4)):
         report = pp.check_flip_table_partition(i_set, max(i_set))
         assert report.passed, report.counterexample
+
+
+def test_flip_table_partition_refuses_a_long_scan():
+    start = time.perf_counter()
+    with pytest.raises(pp.CapExceeded, match="permutations of 12 takes 479001600 steps"):
+        pp.check_flip_table_partition((2, 4), 6)
+    assert time.perf_counter() - start < 1.0
