@@ -7,11 +7,12 @@ descent at position j-1 and the peak status of position j-1 (the latter
 needs the value at j-2 as well), so every yielded permutation is built
 without ever scanning the full factorial search space.
 
-Counts never enumerate. They run a transfer matrix over the rank of the
-last entry among the values still unused, the classical count of
-permutations by up-down signature (Niven 1968; de Bruijn 1970), at a
-cost of O(n^2) big-integer additions for any pattern. Counts are plain
-Python ints, hence exact at any size.
+Counts never enumerate. They run one forward transfer matrix over the
+rank of the last entry among the entries placed so far and the direction
+of the last step (after Niven 1968; de Bruijn 1970). A run to length N
+costs N(N+1)/2 big-integer additions for any pattern and yields the class
+size at every length up to N: counts, listing step counts and polynomial
+coefficients each read one run. Counts are exact Python ints at any size.
 """
 from __future__ import annotations
 
@@ -30,6 +31,16 @@ from .core import (
 )
 
 
+def _positions_below(positions: Iterable[int], n: int, kind: str) -> Positions:
+    """The normalized ``positions``, once n is positive and above them all."""
+    positions = position_set(positions)
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
+    if positions and positions[-1] >= n:
+        raise ValueError(f"{kind} position {positions[-1]} needs n > {positions[-1]}, got n={n}")
+    return positions
+
+
 @dataclasses.dataclass(frozen=True)
 class DescentClassQuery:
     """All permutations of n whose descent set is exactly ``descents``."""
@@ -38,13 +49,7 @@ class DescentClassQuery:
     n: int
 
     def __post_init__(self):
-        object.__setattr__(self, "descents", position_set(self.descents))
-        if self.n < 1:
-            raise ValueError(f"n must be positive, got {self.n}")
-        if self.descents and self.descents[-1] >= self.n:
-            raise ValueError(
-                f"descent position {self.descents[-1]} needs n > {self.descents[-1]}, got n={self.n}"
-            )
+        object.__setattr__(self, "descents", _positions_below(self.descents, self.n, "descent"))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -55,13 +60,7 @@ class PeakClassQuery:
     n: int
 
     def __post_init__(self):
-        object.__setattr__(self, "peaks", position_set(self.peaks))
-        if self.n < 1:
-            raise ValueError(f"n must be positive, got {self.n}")
-        if self.peaks and self.peaks[-1] >= self.n:
-            raise ValueError(
-                f"peak position {self.peaks[-1]} needs n > {self.peaks[-1]}, got n={self.n}"
-            )
+        object.__setattr__(self, "peaks", _positions_below(self.peaks, self.n, "peak"))
 
 
 Query = DescentClassQuery | PeakClassQuery
@@ -116,17 +115,58 @@ def _arrangements(pattern: _Pattern, prefix: Perm, remaining: tuple[int, ...],
 
 
 # ---------------------------------------------------------------------------
+# The counting engine
+# ---------------------------------------------------------------------------
+
+def _plus(xs: list[int], ys: list[int]) -> list[int]:
+    """Entrywise xs + ys, passing a zero side through: adding 0 copies a big integer."""
+    if not any(ys):
+        return xs
+    if not any(xs):
+        return ys
+    return [a + b for a, b in zip(xs, ys)]
+
+
+def _sizes(pattern: _Pattern, lengths: range, prefix: Perm = (1,)) -> Iterator[int]:
+    """The class sizes at ``lengths``, from len(prefix) on, of one engine
+    run: how many permutations of each length start in the relative order
+    of ``prefix`` and match ``pattern`` below that length.
+
+    The state after k entries is the rank r of the last entry among them,
+    split by whether the last step rose; the next entry, of rank r' in
+    0..k, rises exactly when r' > r. Prefix sums make each step linear, so
+    length n fills n(n+1)/2 cells. Step k's sums end in the class size at
+    k, but at a peak they sum only the rises, and the falls are added."""
+    d = len(prefix)
+    rose, fell = [0] * d, [0] * d
+    (rose if d > 1 and prefix[-2] < prefix[-1] else fell)[prefix[-1] - 1] = 1
+    for k in range(d, lengths.stop):
+        # Placing entry k+1 decides position k.
+        if k in pattern.positions:
+            size = sum(fell) if pattern.peaks and k in lengths else 0
+            falls = rose if pattern.peaks else _plus(rose, fell)
+            rose, fell = [0] * (k + 1), [0, *itertools.accumulate(reversed(falls))][::-1]
+            size += fell[0]
+        else:
+            rose = [0, *itertools.accumulate(_plus(rose, fell))]
+            fell = ([0, *itertools.accumulate(reversed(fell))][::-1] if pattern.peaks
+                    else [0] * (k + 1))
+            size = rose[-1]
+        if k in lengths:
+            yield size
+
+
+# ---------------------------------------------------------------------------
 # Streams
 # ---------------------------------------------------------------------------
 
 def _listing_steps(pattern: _Pattern, n: int, depth: int) -> float:
     """The prefixes of length up to ``depth`` that ``_arrangements`` visits
     on n values, math.inf once past MAX_STEPS: a k-prefix decides the
-    positions below k, so C(n,k) value sets times their engine count."""
-    steps = 0
-    for k in range(depth + 1):
-        below = _Pattern(frozenset(i for i in pattern.positions if i < k), pattern.peaks)
-        steps += math.comb(n, k) * _completions(below, (), k)
+    positions below k, so C(n,k) value sets times one run's size at k."""
+    steps = 1  # the empty prefix
+    for k, size in enumerate(_sizes(pattern, range(1, depth + 1)), 1):
+        steps += math.comb(n, k) * size
         if steps > MAX_STEPS:
             return math.inf
     return steps
@@ -153,70 +193,18 @@ def enumerate_peak_class(q: PeakClassQuery) -> Iterator[Perm]:
 
 
 # ---------------------------------------------------------------------------
-# The counting engine
-# ---------------------------------------------------------------------------
-
-def _up(counts: list[int]) -> list[int]:
-    """Counts by new rank after an ascent: entry s sums old ranks 0..s."""
-    return list(itertools.accumulate(counts[:-1]))
-
-
-def _down(counts: list[int]) -> list[int]:
-    """Counts by new rank after a descent: entry s sums old ranks s+1..end."""
-    return list(itertools.accumulate(reversed(counts[1:])))[::-1]
-
-
-def _completions(pattern: _Pattern, prefix: Perm, n: int) -> int:
-    """The number of permutations of n that start with ``prefix`` and match
-    ``pattern`` exactly.
-
-    The state after k entries is the rank r of the last entry among
-    itself and the n-k unused values, split by whether the last step
-    went up. The next entry has a higher rank than r exactly when the
-    step rises, and its own rank among what is left is then r..n-k-1;
-    on a fall it is 0..r-1. Prefix sums make each step linear, so the
-    whole count costs O(n^2) additions.
-    """
-    if not all(pattern.allows(prefix[:j], prefix[j]) for j in range(len(prefix))):
-        return 0
-    if len(prefix) == n:
-        return 1
-    if prefix:
-        used = set(prefix)
-        seed = [0] * (n - len(prefix) + 1)
-        seed[sum(1 for v in range(1, prefix[-1]) if v not in used)] = 1
-        zeros = [0] * len(seed)
-        went_up = len(prefix) > 1 and prefix[-2] < prefix[-1]
-        rose, fell = (seed, zeros) if went_up else (zeros, seed)
-    else:
-        # Every first value, counted as after a fall: position 1 is no peak.
-        rose, fell = [0] * n, [1] * n
-    for j in range(max(len(prefix), 1), n):
-        both = [a + b for a, b in zip(rose, fell)]
-        if j in pattern.positions:
-            rose, fell = [0] * (len(both) - 1), _down(rose if pattern.peaks else both)
-        else:
-            rose, fell = _up(both), _down(fell) if pattern.peaks else [0] * (len(both) - 1)
-    return rose[0] + fell[0]
-
-
-# ---------------------------------------------------------------------------
 # Exact counts
 # ---------------------------------------------------------------------------
 
 def count_descent_class(s: Iterable[int], n: int) -> int:
-    """|D(S,n)| by the transfer-matrix engine; exact for any n.
+    """|D(S,n)| at length n of one forward engine run; exact for any n.
 
     Costs n(n+1)/2 engine cells of big-integer additions whatever the
     size of S; CapExceeded when they pass MAX_STEPS.
     """
-    s = position_set(s)
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    if s and s[-1] >= n:
-        raise ValueError(f"descent position {s[-1]} needs n > {s[-1]}, got n={n}")
-    check_cost(n * (n + 1) // 2, f"counting D({list(s)},{n})")
-    return _completions(_Pattern(frozenset(s), peaks=False), (), n)
+    q = DescentClassQuery(s, n)
+    check_cost(q.n * (q.n + 1) // 2, f"counting D({list(q.descents)},{q.n})")
+    return next(_sizes(_pattern(q), range(q.n, q.n + 1)))
 
 
 def scale_peak_count(size: int, i: Positions, n: int) -> int:
@@ -234,14 +222,14 @@ def scale_peak_count(size: int, i: Positions, n: int) -> int:
 
 
 def count_peak_class(i: Iterable[int], n: int) -> int:
-    """|P(I,n)| by the transfer-matrix engine; exact for any n.
+    """|P(I,n)| at length n of one forward engine run; exact for any n.
 
     Costs n(n+1)/2 engine cells; CapExceeded when they pass MAX_STEPS.
     A non-admissible I gives 0: no permutation realizes it.
     """
     q = PeakClassQuery(i, n)
     check_cost(q.n * (q.n + 1) // 2, f"counting P({list(q.peaks)},{q.n})")
-    return _completions(_pattern(q), (), q.n)
+    return next(_sizes(_pattern(q), range(q.n, q.n + 1)))
 
 
 def peak_poly_value(i: Iterable[int], n: int) -> int:
@@ -256,11 +244,11 @@ def peak_poly_value(i: Iterable[int], n: int) -> int:
 def parallel_count(query: Query, partition_depth: int = 0) -> int:
     """Exact class size as a sum of independent per-prefix counts.
 
-    Every pattern-consistent way of committing the first
-    ``partition_depth`` one-line entries is listed, and the completions
-    of each prefix are counted on their own by the transfer-matrix
-    engine. The result does not depend on the depth, which makes it a
-    check of the engine, whose n(n+1)/2 cells each listed prefix costs.
+    Every pattern-consistent relative order of the first
+    ``partition_depth`` entries (a permutation of 1..depth) is listed,
+    and each seeds its own engine run to length n, whose n(n+1)/2 cells
+    bound its cost. The result does not depend on the depth, which
+    makes it a check of the engine.
     """
     pattern = _pattern(query)
     n = query.n
@@ -268,8 +256,9 @@ def parallel_count(query: Query, partition_depth: int = 0) -> int:
         raise ValueError(f"partition depth must be in 0..{n}, got {partition_depth}")
     if pattern.peaks and not is_admissible(query.peaks):
         return 0
-    check_cost(_listing_steps(pattern, n, partition_depth) * (n * (n + 1) // 2),
+    depth = max(partition_depth, 1)  # the empty prefix runs from the one of length 1
+    check_cost(_listing_steps(pattern, depth, depth) * (n * (n + 1) // 2),
                f"counting {'P' if pattern.peaks else 'D'}({sorted(pattern.positions)},{n})"
                f" by prefixes of length {partition_depth}")
-    prefixes = _arrangements(pattern, (), tuple(range(1, n + 1)), n - partition_depth)
-    return sum(_completions(pattern, prefix, n) for prefix in prefixes)
+    prefixes = _arrangements(pattern, (), tuple(range(1, depth + 1)))
+    return sum(next(_sizes(pattern, range(n, n + 1), prefix)) for prefix in prefixes)

@@ -2,11 +2,12 @@
 
 A polynomial with center m is stored as exact integer coefficients
 c_0..c_m against the basis C(n-m, 0), ..., C(n-m, m). Coefficients are
-finite differences of exact engine counts at n = m+1, ..., 2m+1, so no
-floating point appears anywhere in this module. The paper counts each
-as rows of D(S,2m) (for p(I,n), the flip-free ones), which
-``prefix_interval_class`` and ``flip_admission_table`` list as the
-cross-check.
+finite differences of the exact class sizes at n = m+1, ..., 2m+1 that
+one forward engine run yields: (2m+1)(m+1) cells and m(m+1)/2
+differences, and no floating point anywhere in this module. The paper
+counts each coefficient as rows of D(S,2m) (for p(I,n), the flip-free
+ones), which ``prefix_interval_class`` and ``flip_admission_table`` list
+as the cross-check.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ import dataclasses
 import itertools
 import math
 import warnings
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .core import (
     Perm,
@@ -25,11 +26,14 @@ from .core import (
     spikes_of,
 )
 from .enumeration import (
+    PeakClassQuery,
     _arrangements,
     _listing_steps,
     _Pattern,
+    _sizes,
     count_descent_class,
     peak_poly_value,
+    scale_peak_count,
 )
 from .flips import admits_flip, canonical_descent_set
 
@@ -184,23 +188,6 @@ def prefix_interval_class(s: Iterable[int], m: int, k: int) -> Iterator[Perm]:
     return iter(found)
 
 
-def _from_values(count: Callable, positions: Positions, m: int, name: str) -> BinomialPolynomial:
-    """The polynomial ``name`` at center m from ``count(positions, n)`` at
-    n = m+1, ..., 2m+1, whose engine cells are C(2m+3,3) - C(m+2,3).
-
-    The k-th forward difference at n = m+1 is the coefficient of
-    C(n-m-1, k); a degree of at most m leaves the last basis term 0.
-    """
-    check_cost(math.comb(2 * m + 3, 3) - math.comb(m + 2, 3),
-               f"computing {name}({list(positions)},n) at center {m}")
-    values = [count(positions, n) for n in range(m + 1, 2 * m + 2)]
-    coeffs = []
-    while values:
-        coeffs.append(values[0])
-        values = [b - a for a, b in zip(values, values[1:])]
-    return BinomialPolynomial(m + 1, tuple(coeffs) + (0,)).recenter(m)
-
-
 def _at_center(positions: Iterable[int], m: int, *, peaks: bool) -> Positions:
     """The normalized set S (or admissible I, with ``peaks``), once the
     center m reaches its maximum."""
@@ -212,27 +199,51 @@ def _at_center(positions: Iterable[int], m: int, *, peaks: bool) -> Positions:
     return positions
 
 
+def _from_values(positions: Iterable[int], m: int, *, peaks: bool) -> BinomialPolynomial:
+    """d(S,n), or p(I,n) with ``peaks``, at center m, from one engine run
+    to length 2m+1: its (2m+1)(m+1) cells and the m(m+1)/2 differences
+    of the values at n = m+1, ..., 2m+1.
+
+    The k-th forward difference at n = m+1 is the coefficient c_k of
+    C(n-m-1, k). Since C(n-m, j) = C(n-m-1, j) + C(n-m-1, j-1), the
+    coefficients at center m solve c_k = c'_k + c'_(k+1), with
+    c'_(m+1) = 0 because the degree is at most m.
+    """
+    positions = _at_center(positions, m, peaks=peaks)
+    check_cost((2 * m + 1) * (m + 1) + m * (m + 1) // 2,
+               f"computing {'p' if peaks else 'd'}({list(positions)},n) at center {m}")
+    values = list(_sizes(_Pattern(frozenset(positions), peaks), range(m + 1, 2 * m + 2)))
+    if peaks:
+        values = [scale_peak_count(v, positions, n) for n, v in enumerate(values, m + 1)]
+    coeffs = []
+    while values:
+        coeffs.append(values[0])
+        values = [b - a for a, b in zip(values, values[1:])]
+    for k in range(m - 1, -1, -1):
+        coeffs[k] -= coeffs[k + 1]
+    return BinomialPolynomial(m, tuple(coeffs))
+
+
 def descent_coeffs(s: Iterable[int], m: int) -> BinomialPolynomial:
     """Coefficients of the descent polynomial d(S,n) at center m.
 
-    Read off the exact counts d(S,n) at n = m+1, ..., 2m+1. The paper's
-    reading, c_k = the number of rows of ``prefix_interval_class(S, m, k)``,
-    is the cross-check. Requires m >= max(S).
+    Read off one engine run's counts d(S,n) at n = m+1, ..., 2m+1. The
+    paper's reading, c_k = the number of rows of
+    ``prefix_interval_class(S, m, k)``, is the cross-check. Requires
+    m >= max(S).
     """
-    s = _at_center(s, m, peaks=False)
-    return _from_values(count_descent_class, s, m, "d")
+    return _from_values(s, m, peaks=False)
 
 
 def peak_coeffs(i_set: Iterable[int], m: int) -> BinomialPolynomial:
     """Coefficients of the peak polynomial p(I,n) at center m.
 
-    Read off the exact values p(I,n) at n = m+1, ..., 2m+1. The paper's
-    reading, c_k = the number of flip-free rows in block k of
+    Read off one engine run's values p(I,n) at n = m+1, ..., 2m+1. The
+    paper's reading, c_k = the number of flip-free rows in block k of
     ``flip_admission_table(I, m)``, hence c_k >= 0, is the cross-check.
     Requires admissible I and m >= max(I).
     """
-    i_set = _at_center(i_set, m, peaks=True)
-    return _from_values(peak_poly_value, i_set, m, "p")
+    return _from_values(i_set, m, peaks=True)
 
 
 # ---------------------------------------------------------------------------
@@ -317,13 +328,12 @@ def moebius_terms(i_set: Iterable[int], n: int) -> list[tuple[Positions, Positio
     """The terms (J, S_J, sign, d(S_J,n)) of p(I,n) over the subsets J of I.
 
     Each d(S_J,n) is an exact engine count, 2^|I| of them. Requires
-    admissible I and n > max(I).
+    admissible I and n > max(I), n >= 1.
     """
     i_set = position_set(i_set)
     if not is_admissible(i_set):
         raise ValueError(f"not an admissible peak set: {i_set}")
-    if i_set and i_set[-1] >= n:
-        raise ValueError(f"peak position {i_set[-1]} needs n > {i_set[-1]}, got n={n}")
+    PeakClassQuery(i_set, n)  # refuses n < 1 and n <= max(I)
     check_cost(2 ** len(i_set) * n * (n + 1) // 2, f"inverting p({list(i_set)},{n}) over subsets")
     terms = []
     for r in range(len(i_set) + 1):

@@ -1,8 +1,9 @@
 """Slow filter-based reference implementations used as ground truth.
 
 Everything here scans full symmetric groups with straight-line value
-comparisons, or sums closed forms, and shares no code with the package
-under test.
+comparisons, sums closed forms, or runs a transfer matrix in the other
+direction from the package's, and shares no code with the package under
+test.
 """
 import itertools
 import math
@@ -76,6 +77,35 @@ def descent_count_by_inclusion_exclusion(s, n):
                 term //= math.factorial(b - a)
             total += (-1) ** (len(s) - r) * term
     return total
+
+
+def transfer_matrix_count(positions, n, peaks=False):
+    """The number of permutations of n whose descent set (or peak set,
+    with ``peaks``) is exactly ``positions``, by a backward transfer matrix.
+
+    The state after k entries is the rank of the last entry among itself
+    and the n-k unused values, split by whether the last step rose. A
+    rise moves to a higher rank among what is left, a fall to a lower
+    one. O(n^2) additions, counted from the other end to the package's
+    forward engine.
+    """
+    positions = set(positions)
+
+    def rise(counts):  # new rank s among the rest sums old ranks 0..s
+        return list(itertools.accumulate(counts[:-1]))
+
+    def fall(counts):  # new rank s sums old ranks s+1..end
+        return list(itertools.accumulate(reversed(counts[1:])))[::-1]
+
+    # Every first value, counted as after a fall: position 1 is no peak.
+    rose, fell = [0] * n, [1] * n
+    for j in range(1, n):
+        both = [a + b for a, b in zip(rose, fell)]
+        if j in positions:
+            rose, fell = [0] * (n - j), fall(rose if peaks else both)
+        else:
+            rose, fell = rise(both), fall(fell) if peaks else [0] * (n - j)
+    return rose[0] + fell[0]
 
 
 def p_value(i, n):

@@ -181,6 +181,12 @@ def test_argument_errors_exit_2(capsys):
     assert run(["count", "peak", "2,3", "6"]) == 2
     assert "not an admissible peak set" in capsys.readouterr().err
     assert run(["count", "descent", "3", "2"]) == 2
+    assert "needs n > 3" in capsys.readouterr().err
+    assert run(["moebius", "2", "2"]) == 2
+    assert "peak position 2 needs n > 2" in capsys.readouterr().err
+    for argv in (["count", "descent", "-", "0"], ["moebius", "-", "0"]):
+        assert run(argv) == 2
+        assert capsys.readouterr().err == "error: n must be positive, got 0\n"
     assert run(["verify", "--max-n", "0"]) == 2
     assert "--max-n" in capsys.readouterr().err
     assert run(["verify", "--claim", "bogus"]) == 2

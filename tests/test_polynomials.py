@@ -122,11 +122,20 @@ def test_descent_coeffs_golden():
 def test_descent_coeffs_validation():
     with pytest.raises(ValueError):
         pp.descent_coeffs((2, 3), 2)
-    # The m+1 engine counts fill about 7m^3/6 cells: m = 400 passes the
-    # step limit, while 2m = 14 was over the old cap of 12.
+    # One engine run to 2m+1 and its differences take about 5m^2/2 steps:
+    # m = 2000 goes over the step limit, while m = 400 stays under it.
     with pytest.raises(pp.CapExceeded, match="steps"):
-        pp.descent_coeffs((2,), 400)
+        pp.descent_coeffs((2,), 2000)
+    assert pp.descent_coeffs((2,), 400).evaluate(1000) == pp.count_descent_class((2,), 1000)
     assert pp.descent_coeffs((2,), 7).evaluate(8) == pp.count_descent_class((2,), 8)
+
+
+def test_coefficient_steps_are_one_run_and_its_differences():
+    # (2m+1)(m+1) cells to length 2m+1 plus m(m+1)/2 differences: the
+    # last center under the step limit is 1413.
+    assert pp.descent_coeffs((), 1413).coeffs == (1,) + (0,) * 1413
+    with pytest.raises(pp.CapExceeded, match="takes 5003440 steps"):
+        pp.peak_coeffs((), 1414)
 
 
 def test_descent_coeffs_evaluate_matches_counts():

@@ -1,5 +1,6 @@
 """Property tests of the exact counting engine and the coefficients read
-off it, against independent routes.
+off it, against independent routes: brute force, inclusion-exclusion and
+the backward transfer matrix of ``oracles``.
 
 Sets and sizes are drawn at random; the examples are derandomized so
 the suite stays reproducible, and capped so it stays fast.
@@ -93,6 +94,28 @@ def admissible_peak_sets(draw, top):
     gaps = draw(st.lists(st.integers(2, 5), max_size=top // 2))
     positions = list(itertools.accumulate(gaps))
     return tuple(p for p in positions if p <= top)
+
+
+@settings(PROPERTY, max_examples=40)
+@given(sets_and_sizes(max_n=300), st.booleans(), st.data())
+def test_counts_match_the_backward_transfer_matrix(case, peaks, data):
+    positions, n = case
+    if peaks:  # a random set is rarely admissible, and then both sides read 0
+        positions = data.draw(admissible_peak_sets(n - 1), label="peaks")
+    count = pp.count_peak_class if peaks else pp.count_descent_class
+    assert count(positions, n) == oracles.transfer_matrix_count(positions, n, peaks)
+
+
+@settings(PROPERTY, max_examples=40)
+@given(admissible_peak_sets(40), st.integers(0, 3), st.data())
+def test_peak_coeffs_evaluate_to_the_backward_transfer_matrix(i_set, lift, data):
+    top = max(i_set, default=0)
+    poly = pp.peak_coeffs(i_set, top + lift)
+    n = data.draw(st.integers(max(poly.center, top + 1), 120), label="n")
+    scaled, rem = divmod(oracles.transfer_matrix_count(i_set, n, peaks=True),
+                         2 ** (n - len(i_set) - 1))
+    assert rem == 0
+    assert poly.evaluate(n) == scaled
 
 
 @PROPERTY
