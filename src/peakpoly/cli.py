@@ -379,7 +379,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--claim", default=None,
                    help=f"restrict to one claim: {', '.join(CLAIMS)}")
     p.add_argument("--max-n", type=int, default=6, dest="max_n",
-                   help="largest board size for exhaustive sweeps (default: 6)")
+                   help="largest board size for exhaustive sweeps (default: 6); "
+                        "marked-lemma stops at 7, spike-sum and flip-bijection at 8, "
+                        "and flip-table always scans its fixed boards (2·max(I) ≤ 8)")
     p.set_defaults(handler=_cmd_verify)
 
     return parser

@@ -97,21 +97,19 @@ def _pattern(query: Query) -> _Pattern:
     raise TypeError(f"unsupported query type: {type(query).__name__}")
 
 
-def _arrangements(pattern: _Pattern, prefix: Perm, remaining: tuple[int, ...],
-                  stop: int = 0) -> Iterator[Perm]:
-    """Extensions of ``prefix`` by values of ``remaining`` that ``pattern``
-    allows, ending when ``stop`` values are left.
+def _arrangements(pattern: _Pattern, prefix: Perm, remaining: tuple[int, ...]) -> Iterator[Perm]:
+    """Extensions of ``prefix`` by all of ``remaining`` that ``pattern`` allows.
 
     Values are tried in increasing order, so the outputs appear in
     lexicographic one-line order.
     """
-    if len(remaining) == stop:
+    if not remaining:
         yield prefix
         return
     for idx, v in enumerate(remaining):
         if pattern.allows(prefix, v):
             yield from _arrangements(
-                pattern, prefix + (v,), remaining[:idx] + remaining[idx + 1:], stop)
+                pattern, prefix + (v,), remaining[:idx] + remaining[idx + 1:])
 
 
 # ---------------------------------------------------------------------------
@@ -160,12 +158,12 @@ def _sizes(pattern: _Pattern, lengths: range, prefix: Perm = (1,)) -> Iterator[i
 # Streams
 # ---------------------------------------------------------------------------
 
-def _listing_steps(pattern: _Pattern, n: int, depth: int) -> float:
-    """The prefixes of length up to ``depth`` that ``_arrangements`` visits
-    on n values, math.inf once past MAX_STEPS: a k-prefix decides the
-    positions below k, so C(n,k) value sets times one run's size at k."""
+def _listing_steps(pattern: _Pattern, n: int) -> float:
+    """The prefixes that ``_arrangements`` visits on n values, math.inf once
+    past MAX_STEPS: a k-prefix decides the positions below k, so C(n,k)
+    value sets times one run's size at k."""
     steps = 1  # the empty prefix
-    for k, size in enumerate(_sizes(pattern, range(1, depth + 1)), 1):
+    for k, size in enumerate(_sizes(pattern, range(1, n + 1)), 1):
         steps += math.comb(n, k) * size
         if steps > MAX_STEPS:
             return math.inf
@@ -175,7 +173,7 @@ def _listing_steps(pattern: _Pattern, n: int, depth: int) -> float:
 def enumerate_descent_class(q: DescentClassQuery) -> Iterator[Perm]:
     """Yield the permutations with descent set exactly ``q.descents``, in lex order."""
     pattern = _pattern(q)
-    check_cost(_listing_steps(pattern, q.n, q.n), f"listing D({list(q.descents)},{q.n})")
+    check_cost(_listing_steps(pattern, q.n), f"listing D({list(q.descents)},{q.n})")
     return _arrangements(pattern, (), tuple(range(1, q.n + 1)))
 
 
@@ -188,7 +186,7 @@ def enumerate_peak_class(q: PeakClassQuery) -> Iterator[Perm]:
     if not is_admissible(q.peaks):
         return iter(())
     pattern = _pattern(q)
-    check_cost(_listing_steps(pattern, q.n, q.n), f"listing P({list(q.peaks)},{q.n})")
+    check_cost(_listing_steps(pattern, q.n), f"listing P({list(q.peaks)},{q.n})")
     return _arrangements(pattern, (), tuple(range(1, q.n + 1)))
 
 
@@ -257,7 +255,7 @@ def parallel_count(query: Query, partition_depth: int = 0) -> int:
     if pattern.peaks and not is_admissible(query.peaks):
         return 0
     depth = max(partition_depth, 1)  # the empty prefix runs from the one of length 1
-    check_cost(_listing_steps(pattern, depth, depth) * (n * (n + 1) // 2),
+    check_cost(_listing_steps(pattern, depth) * (n * (n + 1) // 2),
                f"counting {'P' if pattern.peaks else 'D'}({sorted(pattern.positions)},{n})"
                f" by prefixes of length {partition_depth}")
     prefixes = _arrangements(pattern, (), tuple(range(1, depth + 1)))

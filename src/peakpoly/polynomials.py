@@ -26,12 +26,12 @@ from .core import (
     spikes_of,
 )
 from .enumeration import (
+    DescentClassQuery,
     PeakClassQuery,
-    _arrangements,
-    _listing_steps,
     _Pattern,
     _sizes,
     count_descent_class,
+    enumerate_descent_class,
     peak_poly_value,
     scale_peak_count,
 )
@@ -103,8 +103,9 @@ class BinomialPolynomial:
     def recenter(self, new_center: int) -> BinomialPolynomial:
         """The same polynomial re-expressed against the basis at ``new_center``.
 
-        Needs new_center at least the polynomial's degree, else the
-        target basis cannot carry it.
+        Needs new_center at least the polynomial's degree, else the target
+        basis cannot carry it. Each unit step is one pass of Pascal's rule:
+        up, c_k becomes c_k + c_(k+1); down, c_k - c'_(k+1) from the top.
         """
         if new_center < 0:
             raise ValueError("center must be nonnegative")
@@ -112,18 +113,14 @@ class BinomialPolynomial:
             raise ValueError(
                 f"cannot recenter a degree-{self.degree} polynomial at {new_center}"
             )
-        shift = new_center - self.center
-        size = max(new_center, len(self.coeffs) - 1) + 1
-        moved = [
-            sum(self.coeffs[k] * binomial(shift, k - j)
-                for k in range(j, len(self.coeffs)))
-            for j in range(size)
-        ]
-        if any(moved[new_center + 1:]):
-            raise ValueError(
-                f"cannot recenter at {new_center}: higher basis terms survive"
-            )
-        return BinomialPolynomial(new_center, tuple(moved[: new_center + 1]))
+        coeffs = [*self.coeffs, *[0] * (new_center - self.center)]
+        for _ in range(self.center, new_center):
+            for k in range(len(coeffs) - 1):
+                coeffs[k] += coeffs[k + 1]
+        for _ in range(new_center, self.center):
+            for k in range(len(coeffs) - 2, -1, -1):
+                coeffs[k] -= coeffs[k + 1]
+        return BinomialPolynomial(new_center, tuple(coeffs[: new_center + 1]))
 
     # -- serialization ------------------------------------------------------
 
@@ -158,34 +155,42 @@ class BinomialPolynomial:
 # Coefficient extraction
 # ---------------------------------------------------------------------------
 
-def prefix_interval_class(s: Iterable[int], m: int, k: int) -> Iterator[Perm]:
-    """Members of D(S,2m) whose first m values meet [m+1,2m] in exactly [m+1,m+k].
+def _interval_blocks(s: Positions, m: int, ks: range, what: str) -> list[list[Perm]]:
+    """Blocks k in ``ks`` of ``prefix_interval_class(S, m, k)``, S inside [1,m].
 
-    Generates only candidates that satisfy the initial-set condition:
-    the high half of the prefix is forced to [m+1, m+k], the low half is
-    chosen from [m], and the tail must be increasing because no descent
-    position past m is allowed. Yields in lexicographic order.
+    A row's last m entries increase and its first m are a member of D(S',m),
+    S' = S ∩ [1,m-1], relabelled onto low ∪ [m+1,m+k] for an (m-k)-subset low
+    of [m]. D(S',m) is listed once, after its own check and this pricing: as it
+    visits at least m+h prefixes, h = |D(S',m)|, block k costs C(m,k)·(m+h) steps.
     """
-    s = position_set(s)
-    if s and s[-1] > m:
-        raise ValueError(f"descent set reaches {s[-1]}, above the center {m}")
+    if not m:
+        return [[()]]
+    head_set = tuple(p for p in s if p < m)
+    heads = enumerate_descent_class(DescentClassQuery(head_set, m))
+    check_cost(sum(math.comb(m, k) for k in ks) * (m + count_descent_class(head_set, m)), what)
+    heads = list(heads)
+    board = set(range(1, 2 * m + 1))
+    blocks = []
+    for k in ks:
+        block = []
+        for low in itertools.combinations(range(1, m + 1), m - k):
+            values = low + tuple(range(m + 1, m + k + 1))
+            tail = tuple(sorted(board.difference(values)))
+            block += [tuple(values[v - 1] for v in head) + tail for head in heads
+                      if (values[head[-1] - 1] > tail[0]) == (m in s)]
+        blocks.append(sorted(block))
+    return blocks
+
+
+def prefix_interval_class(s: Iterable[int], m: int, k: int) -> Iterator[Perm]:
+    """Members of D(S,2m) whose first m values meet [m+1,2m] in exactly [m+1,m+k],
+    in lexicographic order: C(m,k)·(m+h) steps, h = |D(S ∩ [1,m-1], m)|.
+    """
+    s = _at_center(s, m, peaks=False)
     if not 0 <= k <= m:
         raise ValueError(f"k must be in 0..{m}, got {k}")
-    pattern = _Pattern(frozenset(s), peaks=False)
-    steps = _listing_steps(pattern, m, m)  # inf spares computing a huge C(m,k)
-    check_cost(steps * math.comb(m, k) if steps < math.inf else steps,
-               f"listing block {k} of D({list(s)},{2 * m})")
-    boundary_descent = m in s
-    found: list[Perm] = []
-    high = tuple(range(m + 1, m + k + 1))
-    for low in itertools.combinations(range(1, m + 1), m - k):
-        values = tuple(sorted(low + high))
-        tail = tuple(v for v in range(1, 2 * m + 1) if v not in values)
-        for head in _arrangements(pattern, (), values):
-            if not tail or (head[-1] > tail[0]) == boundary_descent:
-                found.append(head + tail)
-    found.sort()
-    return iter(found)
+    block, = _interval_blocks(s, m, range(k, k + 1), f"listing block {k} of D({list(s)},{2 * m})")
+    return iter(block)
 
 
 def _at_center(positions: Iterable[int], m: int, *, peaks: bool) -> Positions:
@@ -196,6 +201,8 @@ def _at_center(positions: Iterable[int], m: int, *, peaks: bool) -> Positions:
         raise ValueError(f"not an admissible peak set: {positions}")
     if positions and m < positions[-1]:
         raise ValueError(f"center {m} is below max({'I' if peaks else 'S'}) = {positions[-1]}")
+    if m < 0:
+        raise ValueError("center must be nonnegative")
     return positions
 
 
@@ -204,10 +211,8 @@ def _from_values(positions: Iterable[int], m: int, *, peaks: bool) -> BinomialPo
     to length 2m+1: its (2m+1)(m+1) cells and the m(m+1)/2 differences
     of the values at n = m+1, ..., 2m+1.
 
-    The k-th forward difference at n = m+1 is the coefficient c_k of
-    C(n-m-1, k). Since C(n-m, j) = C(n-m-1, j) + C(n-m-1, j-1), the
-    coefficients at center m solve c_k = c'_k + c'_(k+1), with
-    c'_(m+1) = 0 because the degree is at most m.
+    The k-th forward difference at n = m+1 is the coefficient of C(n-m-1, k);
+    with c_(m+1) = 0, as the degree is at most m, they give center m+1.
     """
     positions = _at_center(positions, m, peaks=peaks)
     check_cost((2 * m + 1) * (m + 1) + m * (m + 1) // 2,
@@ -215,13 +220,11 @@ def _from_values(positions: Iterable[int], m: int, *, peaks: bool) -> BinomialPo
     values = list(_sizes(_Pattern(frozenset(positions), peaks), range(m + 1, 2 * m + 2)))
     if peaks:
         values = [scale_peak_count(v, positions, n) for n, v in enumerate(values, m + 1)]
-    coeffs = []
+    differences = []
     while values:
-        coeffs.append(values[0])
+        differences.append(values[0])
         values = [b - a for a, b in zip(values, values[1:])]
-    for k in range(m - 1, -1, -1):
-        coeffs[k] -= coeffs[k + 1]
-    return BinomialPolynomial(m, tuple(coeffs))
+    return BinomialPolynomial(m + 1, (*differences, 0)).recenter(m)
 
 
 def descent_coeffs(s: Iterable[int], m: int) -> BinomialPolynomial:
@@ -290,17 +293,16 @@ def flip_admission_table(i_set: Iterable[int], m: int) -> FlipTable:
     """For each k, the members of D(S_I,2m) meeting the initial-set condition,
     each row carrying its per-spike flip admissions.
 
-    The rows of block k are ``prefix_interval_class(S_I, m, k)``, in lex order.
+    The rows of block k are ``prefix_interval_class(S_I, m, k)``, in lex
+    order, all from one listing: 2^m·(m+h) steps, h = |D(S_I ∩ [1,m-1], m)|.
     """
     i_set = _at_center(i_set, m, peaks=True)
     s = canonical_descent_set(i_set)
-    steps = _listing_steps(_Pattern(frozenset(s), peaks=False), m, m)  # likewise 2^m
-    check_cost(steps * 2 ** m if steps < math.inf else steps,
-               f"building the flip-admission table of D({list(s)},{2 * m})")
+    what = f"building the flip-admission table of D({list(s)},{2 * m})"
     return FlipTable(i_set, m, tuple(
         tuple(FlipTableRow(sigma, tuple(admits_flip(sigma, i).admits for i in i_set))
-              for sigma in prefix_interval_class(s, m, k))
-        for k in range(m + 1)
+              for sigma in block)
+        for block in _interval_blocks(s, m, range(m + 1), what)
     ))
 
 

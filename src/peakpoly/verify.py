@@ -156,10 +156,11 @@ def check_marked_lemma(n: int) -> VerificationReport:
     """All sign patterns of any permutation keep its peaks among their spikes,
     and each qualifying descent set is hit by exactly 2^(|I|+1) patterns.
 
-    Exhausts the 2^n * n! signed permutations of n, so n is capped at 7.
+    Exhausts the 2^n * n! signed permutations of n: n <= 7 under the step limit.
     """
-    if not 1 <= n <= 7:
-        raise ValueError(f"n must be in 1..7, got {n}")
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
+    check_cost(2 ** n * math.factorial(n), f"scanning the signed permutations of {n}")
     params = {"n": n}
     checked = 0
     all_sets = [
@@ -203,6 +204,7 @@ def check_spike_sum(s: Iterable[int], n_range: Iterable[int]) -> VerificationRep
     params = {"s": list(s), "n_range": ns}
     checked = 0
     for n in ns:
+        # A hand ceiling: steps measure neither the numpy tallies nor their n! memory.
         if not (s[-1] if s else 0) < n <= 8:
             raise ValueError(f"need max(S) < n <= 8, got S={list(s)}, n={n}")
         d = enumeration.count_descent_class(s, n)
@@ -246,8 +248,9 @@ def check_flip_bijection(i_set: Iterable[int], j_sub: Iterable[int],
         raise ValueError(f"not an admissible peak set: {i_set}")
     if not set(j_sub) <= set(i_set):
         raise ValueError(f"{list(j_sub)} is not a subset of {list(i_set)}")
-    if not (i_set[-1] if i_set else 0) < n <= 9:
-        raise ValueError(f"need max(I) < n <= 9, got I={list(i_set)}, n={n}")
+    if not (i_set[-1] if i_set else 0) < n:
+        raise ValueError(f"need n > max(I), got I={list(i_set)}, n={n}")
+    check_cost(math.factorial(n), f"scanning the permutations of {n}")
     params = {"i": list(i_set), "j": list(j_sub), "n": n}
     s_source = _naive_canonical_set(i_set, n)
     s_target = _naive_canonical_set(tuple(x for x in i_set if x not in j_sub), n)

@@ -108,6 +108,29 @@ def transfer_matrix_count(positions, n, peaks=False):
     return rose[0] + fell[0]
 
 
+def generalized_binomial(a, k):
+    """C(a, k) for any integer a and k >= 0, as a falling factorial over k!."""
+    numerator = 1
+    for t in range(k):
+        numerator *= a - t
+    return numerator // math.factorial(k)
+
+
+def recenter_by_binomial_sums(coeffs, center, new_center):
+    """Coefficients against C(n - new_center, j) of the polynomial with
+    ``coeffs`` against C(n - center, k), by Vandermonde's identity
+    C(x + d, k) = sum_j C(x, j) C(d, k - j) with d = new_center - center.
+
+    Returns the first new_center + 1 of them; the rest vanish when
+    new_center is at least the degree.
+    """
+    shift = new_center - center
+    return tuple(
+        sum(c * generalized_binomial(shift, k - j) for k, c in enumerate(coeffs) if k >= j)
+        for j in range(new_center + 1)
+    )
+
+
 def p_value(i, n):
     """p(I,n) from a raw class scan; asserts the power-of-2 divisibility."""
     size = len(peak_class(i, n))

@@ -187,6 +187,10 @@ def test_argument_errors_exit_2(capsys):
     for argv in (["count", "descent", "-", "0"], ["moebius", "-", "0"]):
         assert run(argv) == 2
         assert capsys.readouterr().err == "error: n must be positive, got 0\n"
+    for argv in (["table1", "--set", "-", "--center", "-1"],
+                 ["descent-poly", "-", "--center", "-1"]):
+        assert run(argv) == 2
+        assert capsys.readouterr().err == "error: center must be nonnegative\n"
     assert run(["verify", "--max-n", "0"]) == 2
     assert "--max-n" in capsys.readouterr().err
     assert run(["verify", "--claim", "bogus"]) == 2

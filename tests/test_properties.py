@@ -65,8 +65,8 @@ def test_partitioned_count_matches_depth_zero(case, peaks, data):
 
 
 @PROPERTY
-@given(sets_and_sizes(max_n=9), st.booleans(), st.data())
-def test_listing_steps_count_the_visited_prefixes(case, peaks, data):
+@given(sets_and_sizes(max_n=9), st.booleans())
+def test_listing_steps_count_the_visited_prefixes(case, peaks):
     positions, n = case
     if peaks:
         # No permutation has a peak at 1, so the engine counts 0 where the
@@ -74,7 +74,6 @@ def test_listing_steps_count_the_visited_prefixes(case, peaks, data):
         # early for such a set.
         positions = tuple(p for p in positions if p > 1)
     pattern = enumeration._Pattern(frozenset(positions), peaks)
-    depth = data.draw(st.integers(0, n), label="depth")
     arrangements = enumeration._arrangements
     visited = 0
 
@@ -84,8 +83,8 @@ def test_listing_steps_count_the_visited_prefixes(case, peaks, data):
         return arrangements(*args)
 
     with mock.patch.object(enumeration, "_arrangements", counted):
-        list(counted(pattern, (), tuple(range(1, n + 1)), n - depth))
-    assert visited == enumeration._listing_steps(pattern, n, depth)
+        list(counted(pattern, (), tuple(range(1, n + 1))))
+    assert visited == enumeration._listing_steps(pattern, n)
 
 
 @st.composite
@@ -146,6 +145,30 @@ def test_recenter_round_trips(coeffs, data):
     assert moved.recenter(poly.center) == poly
     n = data.draw(st.integers(20, 60), label="n")
     assert moved.evaluate(n) == poly.evaluate(n)
+
+
+@PROPERTY
+@given(st.lists(st.integers(-1000, 1000), min_size=1, max_size=12), st.integers(0, 8),
+       st.data())
+def test_recenter_matches_the_binomial_sums(coeffs, zeros, data):
+    # Trailing zeros put the center above the degree, so shifts go both ways.
+    poly = pp.BinomialPolynomial(len(coeffs) + zeros - 1, (*coeffs, *[0] * zeros))
+    other = data.draw(st.integers(poly.degree, 30), label="center")
+    assert poly.recenter(other).coeffs == \
+        oracles.recenter_by_binomial_sums(coeffs, poly.center, other)
+
+
+def test_table_count_admits_every_table_the_prefix_count_admits():
+    # The table's 2^m (m+h) steps, h = |D(S',m)| for S' = S_I inside
+    # [1,m-1], stay within 2^m times the prefixes of one listing on m
+    # values, so no table a pruned search per value set admits is refused.
+    for i_set in oracles.admissible_sets(8):
+        s = pp.canonical_descent_set(i_set)
+        pattern = enumeration._Pattern(frozenset(s), peaks=False)
+        for m in range(max(i_set, default=0), 13):
+            head = tuple(p for p in s if p < m)
+            h = pp.count_descent_class(head, m) if m else 1
+            assert 2 ** m * (m + h) <= 2 ** m * enumeration._listing_steps(pattern, m), (i_set, m)
 
 
 def test_flip_table_is_the_filtered_descent_class():

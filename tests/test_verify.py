@@ -23,6 +23,8 @@ def test_marked_lemma_small():
         assert report.passed, report.counterexample
         assert report.checked > 0
     with pytest.raises(ValueError):
+        pp.check_marked_lemma(0)
+    with pytest.raises(pp.CapExceeded, match="signed permutations of 8 takes 10321920 steps"):
         pp.check_marked_lemma(8)
 
 
@@ -53,7 +55,9 @@ def test_flip_bijection():
     with pytest.raises(ValueError):
         pp.check_flip_bijection((2, 4), (3,), 7)
     with pytest.raises(ValueError):
-        pp.check_flip_bijection((2, 4), (), 12)
+        pp.check_flip_bijection((2, 4), (), 4)
+    with pytest.raises(pp.CapExceeded, match="permutations of 11 takes 39916800 steps"):
+        pp.check_flip_bijection((2, 4), (), 11)
 
 
 def test_flip_bijection_image_class_sizes():
@@ -83,9 +87,12 @@ def test_flip_admission_table_validation():
         pp.flip_admission_table((2, 3), 4)
     with pytest.raises(ValueError):
         pp.flip_admission_table((2, 4), 3)
-    # 2^14 blocks of listings on 14 values pass the step limit; m = 7 was
-    # over the old cap of 12 on 2m.
-    with pytest.raises(pp.CapExceeded, match="takes 18602573824 steps"):
+    with pytest.raises(ValueError, match="center must be nonnegative"):
+        pp.flip_admission_table((), -1)
+    # 2^14 * (14 + 638) steps: the 638 members of D({2,3},14), relabelled
+    # onto 2^14 value sets, go over the step limit; m = 7 was over the old
+    # cap of 12 on 2m.
+    with pytest.raises(pp.CapExceeded, match="takes 10682368 steps"):
         pp.flip_admission_table((2, 4), 14)
     table = pp.flip_admission_table((2, 4), 7)
     assert tuple(map(len, table.blocks)) == pp.descent_coeffs((2, 3), 7).coeffs
