@@ -34,7 +34,17 @@ def check_cost(steps: float, what: str) -> None:
     if steps == math.inf:
         raise CapExceeded(f"{what} takes more than the limit of {MAX_STEPS} steps")
     if steps > MAX_STEPS:
-        raise CapExceeded(f"{what} takes {steps} steps, over the limit of {MAX_STEPS}")
+        try:
+            count = str(steps)
+        except ValueError:  # past the interpreter's limit on int-to-str digits
+            count = f"a {_digit_count(steps)}-digit number of"
+        raise CapExceeded(f"{what} takes {count} steps, over the limit of {MAX_STEPS}")
+
+
+def _digit_count(value: int) -> int:
+    """Decimal digits of a positive int, without converting it to a string."""
+    digits = int(value.bit_length() * math.log10(2)) + 1
+    return digits - (10 ** (digits - 1) > value)
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,14 @@
 Every check here recomputes its ground truth with naive scans that
 deliberately share no code with the operations under test: descents and
 spikes are re-derived from raw value comparisons, set-level spikes from
-direction changes of the up-down word, and class sizes from exhaustive
-(numpy-tallied) sweeps of the full symmetric or signed symmetric group.
-A full scan also rebuilds the flip-admission table of ``polynomials``,
-the reference it is checked against. A failing check reports the
-first counterexample in full.
+direction changes of the up-down word, and class sizes and the marked
+lemma's tallies from exhaustive numpy sweeps of the full symmetric or
+signed symmetric group. The sweeps hold every permutation of n as one
+column of an n x n! array and read the statistics of all columns at
+once as bitmasks, one row comparison per position; tests pin those bit
+kernels to the per-tuple scans. A full scan also rebuilds the
+flip-admission table of ``polynomials``, the reference it is checked
+against. A failing check reports the first counterexample in full.
 """
 from __future__ import annotations
 
@@ -15,7 +18,7 @@ import dataclasses
 import functools
 import itertools
 import math
-from typing import TYPE_CHECKING, Any, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
 
 from . import enumeration, flips, polynomials
 from .core import Perm, Positions, check_cost
@@ -114,10 +117,48 @@ def _all_perms(n: int) -> Iterable[Perm]:
 
 
 @functools.lru_cache(maxsize=8)
-def _perm_array(n: int) -> np.ndarray:
+def _perm_columns(n: int) -> np.ndarray:
+    """Every permutation of n as one column of an n x n! array, in lex order.
+
+    Row i holds the value at position i+1 of every permutation, so a
+    comparison of two positions reads two contiguous rows.
+    """
     import numpy as np  # the sweeps alone need numpy; keep it off the CLI's start-up
 
-    return np.array(list(_all_perms(n)), dtype=np.int16)
+    return np.ascontiguousarray(np.array(list(_all_perms(n)), dtype=np.int16).T)
+
+
+# Position sets of the columns as bitmasks, bit i for position i as in
+# ``_mask``: uint16 holds positions up to 15, past every swept n.
+
+def _descent_bits(cols: np.ndarray) -> np.ndarray:
+    """Each column's descent set as a bitmask."""
+    import numpy as np
+
+    bits = np.zeros(cols.shape[1], dtype=np.uint16)
+    for i in range(1, len(cols)):
+        bits |= (cols[i - 1] > cols[i]).astype(np.uint16) << i
+    return bits
+
+
+def _turn_bits(cols: np.ndarray, valleys: bool) -> np.ndarray:
+    """Each column's peak set as a bitmask; its spike set when ``valleys``."""
+    import numpy as np
+
+    bits = np.zeros(cols.shape[1], dtype=np.uint16)
+    for i in range(1, len(cols) - 1):
+        rise, fall = cols[i - 1] < cols[i], cols[i] > cols[i + 1]
+        turn = rise == fall if valleys else rise & fall
+        bits |= turn.astype(np.uint16) << (i + 1)
+    return bits
+
+
+def _signed(cols: np.ndarray) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
+    """Every sign pattern of the rows, with its signed copy of ``cols``."""
+    import numpy as np
+
+    for signs in itertools.product((1, -1), repeat=len(cols)):
+        yield signs, cols * np.array(signs, dtype=np.int16)[:, None]
 
 
 @functools.lru_cache(maxsize=8)
@@ -125,13 +166,9 @@ def _signed_descent_histogram(n: int) -> np.ndarray:
     """Counts of signed permutations of n per descent-set bitmask."""
     import numpy as np
 
-    perms = _perm_array(n)
-    weights = (1 << np.arange(1, n)).astype(np.int64)
     counts = np.zeros(1 << n, dtype=np.int64)
-    for signs in itertools.product((1, -1), repeat=n):
-        signed = perms * np.array(signs, dtype=np.int16)
-        bits = (signed[:, :-1] > signed[:, 1:]).astype(np.int64) @ weights
-        counts += np.bincount(bits, minlength=1 << n)
+    for _, signed in _signed(_perm_columns(n)):
+        counts += np.bincount(_descent_bits(signed), minlength=1 << n)
     return counts
 
 
@@ -140,12 +177,7 @@ def _peak_class_histogram(n: int) -> np.ndarray:
     """Counts of plain permutations of n per peak-set bitmask."""
     import numpy as np
 
-    perms = _perm_array(n)
-    mid = perms[:, 1:-1]
-    is_peak = (mid > perms[:, :-2]) & (mid > perms[:, 2:])
-    weights = (1 << np.arange(2, n)).astype(np.int64)
-    bits = is_peak.astype(np.int64) @ weights
-    return np.bincount(bits, minlength=1 << n)
+    return np.bincount(_turn_bits(_perm_columns(n), valleys=False), minlength=1 << n)
 
 
 # ---------------------------------------------------------------------------
@@ -156,42 +188,52 @@ def check_marked_lemma(n: int) -> VerificationReport:
     """All sign patterns of any permutation keep its peaks among their spikes,
     and each qualifying descent set is hit by exactly 2^(|I|+1) patterns.
 
-    Exhausts the 2^n * n! signed permutations of n: n <= 7 under the step limit.
+    Exhausts the 2^n * n! signed permutations of n, one sign pattern at a
+    time over every permutation at once: n <= 7 under the step limit.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     check_cost(2 ** n * math.factorial(n), f"scanning the signed permutations of {n}")
+    import numpy as np
+
     params = {"n": n}
-    checked = 0
+    cols = _perm_columns(n)
+
+    def sigma(column: int) -> Perm:
+        return tuple(int(v) for v in cols[:, column])
+
+    peaks = _turn_bits(cols, valleys=False)
+    # tally[c, D]: sign patterns of column c whose descent set has mask D.
+    tally = np.zeros((cols.shape[1], 1 << n), dtype=np.int16)
+    every_column = np.arange(cols.shape[1])
+    for signs, signed in _signed(cols):
+        lost = np.flatnonzero(peaks & ~_turn_bits(signed, valleys=True))
+        if lost.size:
+            perm = sigma(lost[0])
+            rho = tuple(s * v for s, v in zip(signs, perm))
+            return VerificationReport(
+                "marked-lemma", params, False,
+                {"sigma": perm, "rho": rho, "peaks": list(_naive_peaks(perm)),
+                 "rho_spikes": _naive_spikes(rho)})
+        tally[every_column, _descent_bits(signed)] += 1
     all_sets = [
         frozenset(c)
         for r in range(n)
         for c in itertools.combinations(range(1, n), r)
     ]
-    for sigma in _all_perms(n):
-        peaks = set(_naive_peaks(sigma))
-        tallies: dict[Positions, int] = {}
-        for signs in itertools.product((1, -1), repeat=n):
-            rho = tuple(s * v for s, v in zip(signs, sigma))
-            if not peaks <= set(_naive_spikes(rho)):
-                return VerificationReport(
-                    "marked-lemma", params, False,
-                    {"sigma": sigma, "rho": rho, "peaks": sorted(peaks),
-                     "rho_spikes": _naive_spikes(rho)})
-            des = _naive_descents(rho)
-            tallies[des] = tallies.get(des, 0) + 1
-        expected = 1 << (len(peaks) + 1)
-        for s in all_sets:
-            qualifies = peaks <= set(_naive_set_spikes(s, n))
-            got = tallies.get(tuple(sorted(s)), 0)
-            want = expected if qualifies else 0
-            if got != want:
-                return VerificationReport(
-                    "marked-lemma", params, False,
-                    {"sigma": sigma, "descent_set": sorted(s),
-                     "count": got, "expected": want})
-            checked += 1
-    return VerificationReport("marked-lemma", params, True, checked=checked)
+    set_spikes = np.array([_mask(_naive_set_spikes(s, n)) for s in all_sets], dtype=np.uint16)
+    popcount = np.array([bin(m).count("1") for m in range(1 << n)], dtype=np.int16)
+    expected = np.int16(2) << popcount[peaks]
+    want = np.where((peaks[:, None] & ~set_spikes) == 0, expected[:, None], np.int16(0))
+    got = tally[:, [_mask(s) for s in all_sets]]
+    wrong = np.argwhere(got != want)
+    if len(wrong):
+        column, k = wrong[0]
+        return VerificationReport(
+            "marked-lemma", params, False,
+            {"sigma": sigma(column), "descent_set": sorted(all_sets[k]),
+             "count": int(got[column, k]), "expected": int(want[column, k])})
+    return VerificationReport("marked-lemma", params, True, checked=int(want.size))
 
 
 def check_spike_sum(s: Iterable[int], n_range: Iterable[int]) -> VerificationReport:

@@ -1,6 +1,7 @@
 """Property tests of the exact counting engine and the coefficients read
 off it, against independent routes: brute force, inclusion-exclusion and
-the backward transfer matrix of ``oracles``.
+the backward transfer matrix of ``oracles``; and of the flip maps on
+random permutations.
 
 Sets and sizes are drawn at random; the examples are derandomized so
 the suite stays reproducible, and capped so it stays fast.
@@ -184,3 +185,15 @@ def test_flip_table_is_the_filtered_descent_class():
                     blocks[k].append(pp.FlipTableRow(p, admits))
             table = pp.flip_admission_table(i_set, m)
             assert table.blocks == tuple(map(tuple, blocks)), (i_set, m)
+
+
+@PROPERTY
+@given(st.integers(1, 12).flatmap(lambda n: st.permutations(range(1, n + 1))))
+def test_flips_are_involutions_and_psi_removes_one_spike(p):
+    p = tuple(p)
+    spikes = oracles.spikes(p)
+    for i in range(1, len(p) + 1):
+        assert pp.fl(pp.fl(p, i), i) == p
+    for i in spikes:
+        if pp.admits_flip(p, i).admits:
+            assert oracles.spikes(pp.psi(p, i)) == tuple(x for x in spikes if x != i)

@@ -1,9 +1,12 @@
 import itertools
+import math
+import sys
 import time
 
 import pytest
 
 import peakpoly as pp
+from peakpoly import verify
 
 
 def test_report_requires_counterexample_on_failure():
@@ -18,14 +21,54 @@ def test_report_requires_counterexample_on_failure():
 
 
 def test_marked_lemma_small():
-    for n in range(1, 6):
+    for n in range(1, 8):
         report = pp.check_marked_lemma(n)
         assert report.passed, report.counterexample
-        assert report.checked > 0
+        assert report.checked == math.factorial(n) * 2 ** (n - 1)
+    assert report.checked == 322560
     with pytest.raises(ValueError):
         pp.check_marked_lemma(0)
     with pytest.raises(pp.CapExceeded, match="signed permutations of 8 takes 10321920 steps"):
         pp.check_marked_lemma(8)
+
+
+def test_marked_lemma_catches_a_wrong_tally(monkeypatch):
+    # Dropping a spike of every descent set disqualifies sets that the
+    # signed permutations do hit, so some tally exceeds its expected 0.
+    naive = verify._naive_set_spikes
+    monkeypatch.setattr(verify, "_naive_set_spikes", lambda s, n: naive(s, n)[:-1])
+    report = pp.check_marked_lemma(4)
+    assert not report.passed
+    assert set(report.counterexample) == {"sigma", "descent_set", "count", "expected"}
+    assert report.counterexample["count"] != report.counterexample["expected"]
+
+
+def test_bit_kernels_match_the_per_tuple_statistics():
+    for n in range(1, 7):
+        cols = verify._perm_columns(n)
+        perms = list(itertools.permutations(range(1, n + 1)))
+        assert [tuple(c) for c in cols.T.tolist()] == perms
+        patterns = verify._signed(cols) if n <= 5 else [((1,) * n, cols)]
+        for signs, signed in patterns:
+            seqs = [tuple(s * v for s, v in zip(signs, p)) for p in perms]
+            assert [tuple(c) for c in signed.T.tolist()] == seqs
+            for bits, stat in ((verify._descent_bits(signed), verify._naive_descents),
+                               (verify._turn_bits(signed, valleys=False), verify._naive_peaks),
+                               (verify._turn_bits(signed, valleys=True), verify._naive_spikes)):
+                assert bits.tolist() == [verify._mask(stat(seq)) for seq in seqs], (n, signs)
+
+
+def test_huge_step_counts_are_refused_quickly():
+    # Past the interpreter's int-to-str limit (4300 digits by default,
+    # none before Python 3.10.7) the message gives the digit count.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    start = time.perf_counter()
+    for call, digits in ((lambda: pp.check_marked_lemma(1500), 4567),
+                         (lambda: pp.check_flip_table_partition((2, 4), 1000), 5736)):
+        count = f"a {digits}-digit number of" if 0 < limit < digits else rf"\d{{{digits}}}"
+        with pytest.raises(pp.CapExceeded, match=f"takes {count} steps, over the limit"):
+            call()
+    assert time.perf_counter() - start < 1.0
 
 
 def test_spike_sum():
