@@ -47,6 +47,46 @@ def _digit_count(value: int) -> int:
     return digits - (10 ** (digits - 1) > value)
 
 
+class Record:
+    """An immutable value whose fields are its class's ``__slots__``.
+
+    Records of the same class with equal fields are equal and hash alike;
+    a record never equals a tuple or a record of another class. The
+    constructor takes the fields in slot order, so copies and pickles
+    rebuild through it. Subclasses set their fields once with ``_set``.
+    """
+
+    __slots__ = ()
+
+    def _set(self, *values: object) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, self._fields()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 # ---------------------------------------------------------------------------
 # Validation and construction
 # ---------------------------------------------------------------------------

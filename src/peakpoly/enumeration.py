@@ -16,7 +16,6 @@ coefficients each read one run. Counts are exact Python ints at any size.
 """
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 from typing import Iterable, Iterator
@@ -25,6 +24,7 @@ from .core import (
     MAX_STEPS,
     Perm,
     Positions,
+    Record,
     check_cost,
     is_admissible,
     position_set,
@@ -41,64 +41,57 @@ def _positions_below(positions: Iterable[int], n: int, kind: str) -> Positions:
     return positions
 
 
-@dataclasses.dataclass(frozen=True)
-class DescentClassQuery:
+class DescentClassQuery(Record):
     """All permutations of n whose descent set is exactly ``descents``."""
 
-    descents: Positions
-    n: int
+    __slots__ = ("descents", "n")
+    _on_peaks = False
 
-    def __post_init__(self):
-        object.__setattr__(self, "descents", _positions_below(self.descents, self.n, "descent"))
+    def __init__(self, descents: Iterable[int], n: int):
+        self._set(_positions_below(descents, n, "descent"), n)
+
+    @property
+    def positions(self) -> Positions:
+        """The positions the class fixes exactly: its descents."""
+        return self.descents
+
+    def _allows(self, prefix: Perm, v: int) -> bool:
+        """Whether appending ``v`` to ``prefix`` keeps the descent it decides,
+        at j = len(prefix), right."""
+        j = len(prefix)
+        return j < 1 or (prefix[-1] > v) == (j in self.descents)
 
 
-@dataclasses.dataclass(frozen=True)
-class PeakClassQuery:
+class PeakClassQuery(Record):
     """All permutations of n whose peak set is exactly ``peaks``."""
 
-    peaks: Positions
-    n: int
+    __slots__ = ("peaks", "n")
+    _on_peaks = True
 
-    def __post_init__(self):
-        object.__setattr__(self, "peaks", _positions_below(self.peaks, self.n, "peak"))
+    def __init__(self, peaks: Iterable[int], n: int):
+        self._set(_positions_below(peaks, n, "peak"), n)
+
+    @property
+    def positions(self) -> Positions:
+        """The positions the class fixes exactly: its peaks."""
+        return self.peaks
+
+    def _allows(self, prefix: Perm, v: int) -> bool:
+        """Whether appending ``v`` to ``prefix`` keeps the peak status it
+        decides, at j = len(prefix) once two entries precede ``v``, right."""
+        j = len(prefix)
+        return j < 2 or (prefix[-2] < prefix[-1] > v) == (j in self.peaks)
 
 
 Query = DescentClassQuery | PeakClassQuery
 
 
 # ---------------------------------------------------------------------------
-# Patterns and the pruning rule
+# Pruned backtracking
 # ---------------------------------------------------------------------------
 
-@dataclasses.dataclass(frozen=True)
-class _Pattern:
-    """The positions a class fixes exactly: its descents, or its peaks."""
-
-    positions: frozenset[int]
-    peaks: bool
-
-    def allows(self, prefix: Perm, v: int) -> bool:
-        """Whether appending ``v`` to ``prefix`` keeps every decided position right.
-
-        The appended entry decides position j = len(prefix): the descent
-        at j, and, with two entries before it, whether j is a peak.
-        """
-        j = len(prefix)
-        if self.peaks:
-            return j < 2 or (prefix[-2] < prefix[-1] > v) == (j in self.positions)
-        return j < 1 or (prefix[-1] > v) == (j in self.positions)
-
-
-def _pattern(query: Query) -> _Pattern:
-    if isinstance(query, DescentClassQuery):
-        return _Pattern(frozenset(query.descents), peaks=False)
-    if isinstance(query, PeakClassQuery):
-        return _Pattern(frozenset(query.peaks), peaks=True)
-    raise TypeError(f"unsupported query type: {type(query).__name__}")
-
-
-def _arrangements(pattern: _Pattern, prefix: Perm, remaining: tuple[int, ...]) -> Iterator[Perm]:
-    """Extensions of ``prefix`` by all of ``remaining`` that ``pattern`` allows.
+def _arrangements(query: Query, prefix: Perm, remaining: tuple[int, ...]) -> Iterator[Perm]:
+    """Extensions of ``prefix`` by all of ``remaining`` that ``query`` allows.
 
     Values are tried in increasing order, so the outputs appear in
     lexicographic one-line order.
@@ -107,9 +100,9 @@ def _arrangements(pattern: _Pattern, prefix: Perm, remaining: tuple[int, ...]) -
         yield prefix
         return
     for idx, v in enumerate(remaining):
-        if pattern.allows(prefix, v):
+        if query._allows(prefix, v):
             yield from _arrangements(
-                pattern, prefix + (v,), remaining[:idx] + remaining[idx + 1:])
+                query, prefix + (v,), remaining[:idx] + remaining[idx + 1:])
 
 
 # ---------------------------------------------------------------------------
@@ -125,10 +118,12 @@ def _plus(xs: list[int], ys: list[int]) -> list[int]:
     return [a + b for a, b in zip(xs, ys)]
 
 
-def _sizes(pattern: _Pattern, lengths: range, prefix: Perm = (1,)) -> Iterator[int]:
+def _sizes(positions: Positions, peaks: bool, lengths: range,
+           prefix: Perm = (1,)) -> Iterator[int]:
     """The class sizes at ``lengths``, from len(prefix) on, of one engine
     run: how many permutations of each length start in the relative order
-    of ``prefix`` and match ``pattern`` below that length.
+    of ``prefix`` and have exactly ``positions`` as their peaks (if
+    ``peaks``) or descents below that length.
 
     The state after k entries is the rank r of the last entry among them,
     split by whether the last step rose; the next entry, of rank r' in
@@ -140,14 +135,14 @@ def _sizes(pattern: _Pattern, lengths: range, prefix: Perm = (1,)) -> Iterator[i
     (rose if d > 1 and prefix[-2] < prefix[-1] else fell)[prefix[-1] - 1] = 1
     for k in range(d, lengths.stop):
         # Placing entry k+1 decides position k.
-        if k in pattern.positions:
-            size = sum(fell) if pattern.peaks and k in lengths else 0
-            falls = rose if pattern.peaks else _plus(rose, fell)
+        if k in positions:
+            size = sum(fell) if peaks and k in lengths else 0
+            falls = rose if peaks else _plus(rose, fell)
             rose, fell = [0] * (k + 1), [0, *itertools.accumulate(reversed(falls))][::-1]
             size += fell[0]
         else:
             rose = [0, *itertools.accumulate(_plus(rose, fell))]
-            fell = ([0, *itertools.accumulate(reversed(fell))][::-1] if pattern.peaks
+            fell = ([0, *itertools.accumulate(reversed(fell))][::-1] if peaks
                     else [0] * (k + 1))
             size = rose[-1]
         if k in lengths:
@@ -158,12 +153,12 @@ def _sizes(pattern: _Pattern, lengths: range, prefix: Perm = (1,)) -> Iterator[i
 # Streams
 # ---------------------------------------------------------------------------
 
-def _listing_steps(pattern: _Pattern, n: int) -> float:
+def _listing_steps(query: Query, n: int) -> float:
     """The prefixes that ``_arrangements`` visits on n values, math.inf once
     past MAX_STEPS: a k-prefix decides the positions below k, so C(n,k)
     value sets times one run's size at k."""
     steps = 1  # the empty prefix
-    for k, size in enumerate(_sizes(pattern, range(1, n + 1)), 1):
+    for k, size in enumerate(_sizes(query.positions, query._on_peaks, range(1, n + 1)), 1):
         steps += math.comb(n, k) * size
         if steps > MAX_STEPS:
             return math.inf
@@ -172,9 +167,8 @@ def _listing_steps(pattern: _Pattern, n: int) -> float:
 
 def enumerate_descent_class(q: DescentClassQuery) -> Iterator[Perm]:
     """Yield the permutations with descent set exactly ``q.descents``, in lex order."""
-    pattern = _pattern(q)
-    check_cost(_listing_steps(pattern, q.n), f"listing D({list(q.descents)},{q.n})")
-    return _arrangements(pattern, (), tuple(range(1, q.n + 1)))
+    check_cost(_listing_steps(q, q.n), f"listing D({list(q.descents)},{q.n})")
+    return _arrangements(q, (), tuple(range(1, q.n + 1)))
 
 
 def enumerate_peak_class(q: PeakClassQuery) -> Iterator[Perm]:
@@ -185,9 +179,8 @@ def enumerate_peak_class(q: PeakClassQuery) -> Iterator[Perm]:
     """
     if not is_admissible(q.peaks):
         return iter(())
-    pattern = _pattern(q)
-    check_cost(_listing_steps(pattern, q.n), f"listing P({list(q.peaks)},{q.n})")
-    return _arrangements(pattern, (), tuple(range(1, q.n + 1)))
+    check_cost(_listing_steps(q, q.n), f"listing P({list(q.peaks)},{q.n})")
+    return _arrangements(q, (), tuple(range(1, q.n + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +195,7 @@ def count_descent_class(s: Iterable[int], n: int) -> int:
     """
     q = DescentClassQuery(s, n)
     check_cost(q.n * (q.n + 1) // 2, f"counting D({list(q.descents)},{q.n})")
-    return next(_sizes(_pattern(q), range(q.n, q.n + 1)))
+    return next(_sizes(q.positions, q._on_peaks, range(q.n, q.n + 1)))
 
 
 def scale_peak_count(size: int, i: Positions, n: int) -> int:
@@ -227,7 +220,7 @@ def count_peak_class(i: Iterable[int], n: int) -> int:
     """
     q = PeakClassQuery(i, n)
     check_cost(q.n * (q.n + 1) // 2, f"counting P({list(q.peaks)},{q.n})")
-    return next(_sizes(_pattern(q), range(q.n, q.n + 1)))
+    return next(_sizes(q.positions, q._on_peaks, range(q.n, q.n + 1)))
 
 
 def peak_poly_value(i: Iterable[int], n: int) -> int:
@@ -248,15 +241,17 @@ def parallel_count(query: Query, partition_depth: int = 0) -> int:
     bound its cost. The result does not depend on the depth, which
     makes it a check of the engine.
     """
-    pattern = _pattern(query)
+    if not isinstance(query, (DescentClassQuery, PeakClassQuery)):
+        raise TypeError(f"unsupported query type: {type(query).__name__}")
     n = query.n
     if not 0 <= partition_depth <= n:
         raise ValueError(f"partition depth must be in 0..{n}, got {partition_depth}")
-    if pattern.peaks and not is_admissible(query.peaks):
+    if query._on_peaks and not is_admissible(query.peaks):
         return 0
     depth = max(partition_depth, 1)  # the empty prefix runs from the one of length 1
-    check_cost(_listing_steps(pattern, depth) * (n * (n + 1) // 2),
-               f"counting {'P' if pattern.peaks else 'D'}({sorted(pattern.positions)},{n})"
+    check_cost(_listing_steps(query, depth) * (n * (n + 1) // 2),
+               f"counting {'P' if query._on_peaks else 'D'}({list(query.positions)},{n})"
                f" by prefixes of length {partition_depth}")
-    prefixes = _arrangements(pattern, (), tuple(range(1, depth + 1)))
-    return sum(next(_sizes(pattern, range(n, n + 1), prefix)) for prefix in prefixes)
+    prefixes = _arrangements(query, (), tuple(range(1, depth + 1)))
+    return sum(next(_sizes(query.positions, query._on_peaks, range(n, n + 1), prefix))
+               for prefix in prefixes)

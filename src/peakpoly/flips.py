@@ -7,12 +7,12 @@ spike-removal map ``psi`` picks whichever of the two works.
 """
 from __future__ import annotations
 
-import dataclasses
 from typing import Iterable, Sequence
 
 from .core import (
     Perm,
     Positions,
+    Record,
     is_admissible,
     position_set,
     spike_set,
@@ -41,12 +41,13 @@ def fl(p: Sequence[int], i: int) -> Perm:
     return tuple(ranked[i - 1 - rank[v]] for v in prefix) + tuple(p[i:])
 
 
-@dataclasses.dataclass(frozen=True)
-class FlipAdmission:
+class FlipAdmission(Record):
     """Whether a spike can be removed by flipping at i (plus) or i-1 (minus)."""
 
-    plus: bool
-    minus: bool
+    __slots__ = ("plus", "minus")
+
+    def __init__(self, plus: bool, minus: bool):
+        self._set(plus, minus)
 
     @property
     def admits(self) -> bool:

@@ -11,7 +11,6 @@ as the cross-check.
 """
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 import warnings
@@ -20,6 +19,7 @@ from typing import Iterable, Iterator
 from .core import (
     Perm,
     Positions,
+    Record,
     check_cost,
     is_admissible,
     position_set,
@@ -28,7 +28,6 @@ from .core import (
 from .enumeration import (
     DescentClassQuery,
     PeakClassQuery,
-    _Pattern,
     _sizes,
     count_descent_class,
     enumerate_descent_class,
@@ -59,22 +58,20 @@ def binomial(a: int, k: int) -> int:
     return sign * out
 
 
-@dataclasses.dataclass(frozen=True)
-class BinomialPolynomial:
+class BinomialPolynomial(Record):
     """Exact integer coefficients against the basis C(n-center, k)."""
 
-    center: int
-    coeffs: tuple[int, ...]
+    __slots__ = ("center", "coeffs")
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
-        if self.center < 0:
+    def __init__(self, center: int, coeffs: Iterable[int]):
+        coeffs = tuple(int(c) for c in coeffs)
+        if center < 0:
             raise ValueError("center must be nonnegative")
-        if len(self.coeffs) != self.center + 1:
+        if len(coeffs) != center + 1:
             raise ValueError(
-                f"center {self.center} needs {self.center + 1} coefficients, "
-                f"got {len(self.coeffs)}"
+                f"center {center} needs {center + 1} coefficients, got {len(coeffs)}"
             )
+        self._set(center, coeffs)
 
     @property
     def degree(self) -> int:
@@ -217,7 +214,7 @@ def _from_values(positions: Iterable[int], m: int, *, peaks: bool) -> BinomialPo
     positions = _at_center(positions, m, peaks=peaks)
     check_cost((2 * m + 1) * (m + 1) + m * (m + 1) // 2,
                f"computing {'p' if peaks else 'd'}({list(positions)},n) at center {m}")
-    values = list(_sizes(_Pattern(frozenset(positions), peaks), range(m + 1, 2 * m + 2)))
+    values = list(_sizes(positions, peaks, range(m + 1, 2 * m + 2)))
     if peaks:
         values = [scale_peak_count(v, positions, n) for n, v in enumerate(values, m + 1)]
     differences = []
@@ -253,17 +250,24 @@ def peak_coeffs(i_set: Iterable[int], m: int) -> BinomialPolynomial:
 # Flip-admission tables
 # ---------------------------------------------------------------------------
 
-@dataclasses.dataclass(frozen=True)
-class FlipTableRow:
-    permutation: Perm
-    admits: tuple[bool, ...]  # aligned with the sorted spike set
+class FlipTableRow(Record):
+    """One member of the table's descent class and, aligned with the sorted
+    spike set, whether each spike admits a flip."""
+
+    __slots__ = ("permutation", "admits")
+
+    def __init__(self, permutation: Perm, admits: tuple[bool, ...]):
+        self._set(permutation, admits)
 
 
-@dataclasses.dataclass(frozen=True)
-class FlipTable:
-    spikes: Positions
-    center: int
-    blocks: tuple[tuple[FlipTableRow, ...], ...]  # indexed by k = 0..center
+class FlipTable(Record):
+    """The rows of ``flip_admission_table`` in blocks indexed by k = 0..center."""
+
+    __slots__ = ("spikes", "center", "blocks")
+
+    def __init__(self, spikes: Positions, center: int,
+                 blocks: tuple[tuple[FlipTableRow, ...], ...]):
+        self._set(spikes, center, blocks)
 
     def no_flip_counts(self) -> tuple[int, ...]:
         return self.pattern_counts(())

@@ -14,35 +14,46 @@ against. A failing check reports the first counterexample in full.
 """
 from __future__ import annotations
 
-import dataclasses
+import copy
 import functools
 import itertools
 import math
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
 
 from . import enumeration, flips, polynomials
-from .core import Perm, Positions, check_cost
+from .core import Perm, Positions, Record, check_cost
 
 if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclasses.dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Record):
     """Outcome of one claim check over one parameter choice."""
 
-    claim: str
-    params: dict[str, Any]
-    passed: bool
-    counterexample: dict[str, Any] | None = None
-    checked: int = 0
+    __slots__ = ("claim", "params", "passed", "counterexample", "checked")
 
-    def __post_init__(self):
-        if not self.passed and self.counterexample is None:
+    def __init__(self, claim: str, params: dict[str, Any], passed: bool,
+                 counterexample: dict[str, Any] | None = None, checked: int = 0):
+        if not passed and counterexample is None:
             raise ValueError("a failing report must carry a counterexample")
+        self._set(claim, params, passed, counterexample, checked)
 
     def to_json_dict(self) -> dict[str, Any]:
-        return dataclasses.asdict(self)
+        """The fields by name, as plain copies: ``_plain`` of the report."""
+        return _plain(self)
+
+
+def _plain(value: Any) -> Any:
+    """``value`` with every Record in it, however deep in lists, tuples and
+    dicts, turned into a dict of its fields, and every other leaf copied,
+    as ``dataclasses.asdict`` does."""
+    if isinstance(value, Record):
+        return {name: _plain(getattr(value, name)) for name in value.__slots__}
+    if isinstance(value, (list, tuple)):
+        return type(value)(_plain(item) for item in value)
+    if isinstance(value, dict):
+        return type(value)((_plain(k), _plain(v)) for k, v in value.items())
+    return copy.deepcopy(value)
 
 
 # ---------------------------------------------------------------------------

@@ -262,11 +262,57 @@ def test_module_invocation():
 
 def test_import_loads_neither_numpy_nor_a_process_pool():
     # Only verify's brute-force sweeps need numpy; every CLI call pays
-    # for what `import peakpoly.cli` loads.
+    # for what `import peakpoly.cli` loads. `dataclasses` would pull in
+    # `inspect`, `ast`, `dis` and `tokenize`.
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, peakpoly.cli; "
-         "print(sorted({'numpy', 'concurrent.futures.process'} & set(sys.modules)))"],
+         "import sys, peakpoly.cli; print(sorted({'numpy', 'concurrent.futures.process', "
+         "'dataclasses', 'inspect'} & set(sys.modules)))"],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+    # A count runs `enumeration` only: the code of the other layers never
+    # runs. Reading a module's __dict__ this way does not load it.
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys\n"
+         "from peakpoly import cli\n"
+         "code = cli.run(['count', 'descent', '2,3', '6'])\n"
+         "for layer, name in [('enumeration', 'count_descent_class'), ('flips', 'admits_flip'),\n"
+         "                    ('polynomials', 'peak_coeffs'), ('verify', 'check_marked_lemma')]:\n"
+         "    module = sys.modules['peakpoly.' + layer]\n"
+         "    print(layer, name in object.__getattribute__(module, '__dict__'))\n"
+         "print(code)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "|D({2,3},6)| = 26", "enumeration True", "flips False", "polynomials False",
+        "verify False", "0"]
+
+
+def test_every_layer_is_registered_after_importing_the_cli():
+    # A tracer that wraps the public functions of each layer looks the
+    # layers up in sys.modules right after `import peakpoly.cli`.
+    layers = ("cli", "core", "enumeration", "flips", "polynomials", "verify")
+    listing = (
+        f"for layer in {layers!r}:\n"
+        "    module = sys.modules['peakpoly.' + layer]\n"
+        "    print(layer, sorted(name for name, obj in vars(module).items()\n"
+        "                        if not name.startswith('_') and inspect.isfunction(obj)\n"
+        "                        and obj.__module__ == module.__name__))\n")
+    fresh = subprocess.run(
+        [sys.executable, "-c", "import inspect, sys, peakpoly.cli\n" + listing],
+        capture_output=True, text=True)
+    assert fresh.returncode == 0, fresh.stderr
+    # The same listing once every layer has been imported outright.
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import importlib, inspect, sys\n"
+         f"for layer in {layers!r}: importlib.import_module('peakpoly.' + layer)\n" + listing],
+        capture_output=True, text=True)
+    assert loaded.returncode == 0, loaded.stderr
+    assert fresh.stdout == loaded.stdout
+    functions = dict(line.split(" ", 1) for line in fresh.stdout.splitlines())
+    for layer, name in [("cli", "run"), ("core", "descent_set"),
+                        ("enumeration", "count_descent_class"), ("flips", "admits_flip"),
+                        ("polynomials", "peak_coeffs"), ("verify", "check_marked_lemma")]:
+        assert repr(name) in functions[layer], layer

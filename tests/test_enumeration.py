@@ -173,3 +173,5 @@ def test_parallel_count_validation():
     with pytest.raises(ValueError):
         pp.parallel_count(query, -1)
     assert pp.parallel_count(pp.PeakClassQuery((2, 3), 6), 1) == 0
+    with pytest.raises(TypeError, match="unsupported query type: tuple"):
+        pp.parallel_count(((1,), 5))

@@ -74,7 +74,7 @@ def test_listing_steps_count_the_visited_prefixes(case, peaks):
         # listing never decides position 1; the listing routes return
         # early for such a set.
         positions = tuple(p for p in positions if p > 1)
-    pattern = enumeration._Pattern(frozenset(positions), peaks)
+    query = (pp.PeakClassQuery if peaks else pp.DescentClassQuery)(positions, n)
     arrangements = enumeration._arrangements
     visited = 0
 
@@ -84,8 +84,8 @@ def test_listing_steps_count_the_visited_prefixes(case, peaks):
         return arrangements(*args)
 
     with mock.patch.object(enumeration, "_arrangements", counted):
-        list(counted(pattern, (), tuple(range(1, n + 1))))
-    assert visited == enumeration._listing_steps(pattern, n)
+        list(counted(query, (), tuple(range(1, n + 1))))
+    assert visited == enumeration._listing_steps(query, n)
 
 
 @st.composite
@@ -165,11 +165,11 @@ def test_table_count_admits_every_table_the_prefix_count_admits():
     # values, so no table a pruned search per value set admits is refused.
     for i_set in oracles.admissible_sets(8):
         s = pp.canonical_descent_set(i_set)
-        pattern = enumeration._Pattern(frozenset(s), peaks=False)
+        query = pp.DescentClassQuery(s, 13)  # the listings below stop at m
         for m in range(max(i_set, default=0), 13):
             head = tuple(p for p in s if p < m)
             h = pp.count_descent_class(head, m) if m else 1
-            assert 2 ** m * (m + h) <= 2 ** m * enumeration._listing_steps(pattern, m), (i_set, m)
+            assert 2 ** m * (m + h) <= 2 ** m * enumeration._listing_steps(query, m), (i_set, m)
 
 
 def test_flip_table_is_the_filtered_descent_class():

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import sys
 import time
@@ -41,6 +42,26 @@ def test_marked_lemma_catches_a_wrong_tally(monkeypatch):
     assert not report.passed
     assert set(report.counterexample) == {"sigma", "descent_set", "count", "expected"}
     assert report.counterexample["count"] != report.counterexample["expected"]
+
+
+def test_failing_flip_table_report_is_json(monkeypatch):
+    # A table missing a row fails the scan comparison; the report carries
+    # the rows, which its JSON form gives as plain dicts.
+    from peakpoly import polynomials
+    table = polynomials.flip_admission_table
+
+    def short_table(i_set, m):
+        t = table(i_set, m)
+        return polynomials.FlipTable(t.spikes, t.center, (t.blocks[0][1:], *t.blocks[1:]))
+
+    monkeypatch.setattr(polynomials, "flip_admission_table", short_table)
+    report = pp.check_flip_table_partition((2,), 3)
+    assert not report.passed
+    data = json.loads(json.dumps(report.to_json_dict()))
+    assert data["counterexample"]["k"] == 0
+    rows = data["counterexample"]["scanned_rows"]
+    assert rows and all(set(row) == {"permutation", "admits"} for row in rows)
+    assert len(data["counterexample"]["table_rows"]) == len(rows) - 1
 
 
 def test_bit_kernels_match_the_per_tuple_statistics():
