@@ -4,16 +4,20 @@ Every check here recomputes its ground truth with naive scans that
 deliberately share no code with the operations under test: descents and
 spikes are re-derived from raw value comparisons, set-level spikes from
 direction changes of the up-down word, and class sizes and the marked
-lemma's tallies from exhaustive numpy sweeps of the full symmetric or
-signed symmetric group. The sweeps hold every permutation of n as one
-column of an n x n! array and read the statistics of all columns at
-once as bitmasks, one row comparison per position; tests pin those bit
-kernels to the per-tuple scans. A full scan also rebuilds the
+lemma's tallies from exhaustive sweeps of the full symmetric or signed
+symmetric group. Each whole-group scan runs once per n in a process and
+is shared by the checks that read it: the flip checks read every
+permutation's naive descent set from one pure-Python scan, kept as a
+compact array of bitmasks, and the numpy sweeps hold every permutation
+of n as one column of an n x n! array and read the statistics of all
+columns at once as bitmasks, one row comparison per position; tests pin
+those scans to the per-tuple statistics. A full scan also rebuilds the
 flip-admission table of ``polynomials``, the reference it is checked
 against. A failing check reports the first counterexample in full.
 """
 from __future__ import annotations
 
+import array
 import copy
 import functools
 import itertools
@@ -123,8 +127,31 @@ def _mask(positions: Iterable[int]) -> int:
 
 
 def _all_perms(n: int) -> Iterable[Perm]:
-    """Every permutation of n, in lex order: the whole-group scan."""
+    """Every permutation of n, in lex order: the one source of the
+    whole-group scans, which run once per n and are shared by the checks
+    (``_descent_scan``, ``_perm_columns``), and of the class members read
+    from them."""
     return itertools.permutations(range(1, n + 1))
+
+
+@functools.lru_cache(maxsize=8)
+def _descent_scan(n: int) -> array.array:
+    """The naive descent set of every permutation of n as a bitmask, in
+    the lex order of ``_all_perms``: one scan per n, shared by the flip
+    checks.
+
+    Two bytes per permutation instead of its tuple, so n = 10 fits in
+    7 MB; numpy-free, so the flip checks leave numpy unloaded.
+    """
+    # Masks are looked up, not built per permutation: _mask on each of
+    # the n! descent sets would almost double the scan's cost.
+    masks = {c: _mask(c) for r in range(n) for c in itertools.combinations(range(1, n), r)}
+    return array.array("H", map(masks.__getitem__, map(_naive_descents, _all_perms(n))))
+
+
+def _naive_class(s: Positions, n: int) -> Iterator[Perm]:
+    """The members of D(S,n) in lex order, read from the shared scan."""
+    return itertools.compress(_all_perms(n), map(_mask(s).__eq__, _descent_scan(n)))
 
 
 @functools.lru_cache(maxsize=8)
@@ -132,11 +159,14 @@ def _perm_columns(n: int) -> np.ndarray:
     """Every permutation of n as one column of an n x n! array, in lex order.
 
     Row i holds the value at position i+1 of every permutation, so a
-    comparison of two positions reads two contiguous rows.
+    comparison of two positions reads two contiguous rows. The values
+    stream from ``_all_perms`` straight into the array, once per n.
     """
     import numpy as np  # the sweeps alone need numpy; keep it off the CLI's start-up
 
-    return np.ascontiguousarray(np.array(list(_all_perms(n)), dtype=np.int16).T)
+    values = np.fromiter(itertools.chain.from_iterable(_all_perms(n)), dtype=np.int16,
+                         count=n * math.factorial(n))
+    return np.ascontiguousarray(values.reshape(-1, n).T)
 
 
 # Position sets of the columns as bitmasks, bit i for position i as in
@@ -174,12 +204,23 @@ def _signed(cols: np.ndarray) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
 
 @functools.lru_cache(maxsize=8)
 def _signed_descent_histogram(n: int) -> np.ndarray:
-    """Counts of signed permutations of n per descent-set bitmask."""
+    """Counts of signed permutations of n per descent-set bitmask.
+
+    The comparison a*sigma_i > b*sigma_{i+1} of each position is made once
+    per sign pair (a, b), as a bit row; the descent bitmasks of a sign
+    pattern's signed columns are the OR of its rows.
+    """
     import numpy as np
 
+    cols = _perm_columns(n)
+    rows = {(i, a, b): (a * cols[i - 1] > b * cols[i]).astype(np.uint16) << i
+            for i in range(1, n) for a in (1, -1) for b in (1, -1)}
     counts = np.zeros(1 << n, dtype=np.int64)
-    for _, signed in _signed(_perm_columns(n)):
-        counts += np.bincount(_descent_bits(signed), minlength=1 << n)
+    for signs in itertools.product((1, -1), repeat=n):
+        bits = np.zeros(cols.shape[1], dtype=np.uint16)
+        for i in range(1, n):
+            bits |= rows[i, signs[i - 1], signs[i]]
+        counts += np.bincount(bits, minlength=1 << n)
     return counts
 
 
@@ -254,6 +295,8 @@ def check_spike_sum(s: Iterable[int], n_range: Iterable[int]) -> VerificationRep
     """
     s = tuple(sorted(set(s)))
     ns = sorted(n_range)
+    if not ns:
+        raise ValueError("n_range is empty: a check over no n checks nothing")
     params = {"s": list(s), "n_range": ns}
     checked = 0
     for n in ns:
@@ -319,14 +362,9 @@ def check_flip_bijection(i_set: Iterable[int], j_sub: Iterable[int],
         hit = set(p[:m]) & set(range(m + 1, 2 * m + 1))
         return len(hit) if hit == set(range(m + 1, m + 1 + len(hit))) else None
 
-    domain = []
-    target_size = 0
-    for sigma in _all_perms(n):
-        des = _naive_descents(sigma)
-        if des == s_target:
-            target_size += 1
-        if des == s_source and all(flips.admits_flip(sigma, j).admits for j in j_sub):
-            domain.append(sigma)
+    domain = [sigma for sigma in _naive_class(s_source, n)
+              if all(flips.admits_flip(sigma, j).admits for j in j_sub)]
+    target_size = _descent_scan(n).count(_mask(s_target))
 
     images = set()
     for sigma in domain:
@@ -359,7 +397,8 @@ def check_flip_bijection(i_set: Iterable[int], j_sub: Iterable[int],
 # ---------------------------------------------------------------------------
 
 def _naive_flip_table(i_set: Positions, m: int) -> polynomials.FlipTable:
-    """The flip-admission table rebuilt by a full scan of the 2m-permutations.
+    """The flip-admission table rebuilt by a full scan of the 2m-permutations,
+    whose members of D(S_I,2m) it reads from the shared descent scan.
 
     Only the admission flags come from the flips module, since those are
     the quantity the table exists to exhibit.
@@ -367,9 +406,7 @@ def _naive_flip_table(i_set: Positions, m: int) -> polynomials.FlipTable:
     s_target = _naive_canonical_set(i_set, 2 * m)
     blocks: list[list[polynomials.FlipTableRow]] = [[] for _ in range(m + 1)]
     high = set(range(m + 1, 2 * m + 1))
-    for sigma in _all_perms(2 * m):
-        if _naive_descents(sigma) != s_target:
-            continue
+    for sigma in _naive_class(s_target, 2 * m):
         hit = set(sigma[:m]) & high
         k = len(hit)
         if hit != set(range(m + 1, m + 1 + k)):

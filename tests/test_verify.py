@@ -1,13 +1,15 @@
+import collections
 import itertools
 import json
 import math
+import subprocess
 import sys
 import time
 
 import pytest
 
 import peakpoly as pp
-from peakpoly import verify
+from peakpoly import cli, flips, verify
 
 
 def test_report_requires_counterexample_on_failure():
@@ -65,9 +67,10 @@ def test_failing_flip_table_report_is_json(monkeypatch):
 
 
 def test_bit_kernels_match_the_per_tuple_statistics():
-    for n in range(1, 7):
+    for n in range(1, 8):
         cols = verify._perm_columns(n)
         perms = list(itertools.permutations(range(1, n + 1)))
+        assert cols.dtype == "int16" and cols.flags.c_contiguous
         assert [tuple(c) for c in cols.T.tolist()] == perms
         patterns = verify._signed(cols) if n <= 5 else [((1,) * n, cols)]
         for signs, signed in patterns:
@@ -77,6 +80,97 @@ def test_bit_kernels_match_the_per_tuple_statistics():
                                (verify._turn_bits(signed, valleys=False), verify._naive_peaks),
                                (verify._turn_bits(signed, valleys=True), verify._naive_spikes)):
                 assert bits.tolist() == [verify._mask(stat(seq)) for seq in seqs], (n, signs)
+
+
+def test_signed_descent_histogram_is_the_per_tuple_tally():
+    for n in range(1, 6):
+        tally = collections.Counter(
+            verify._mask(verify._naive_descents(tuple(s * v for s, v in zip(signs, p))))
+            for p in verify._all_perms(n)
+            for signs in itertools.product((1, -1), repeat=n))
+        assert verify._signed_descent_histogram(n).tolist() == [tally[m] for m in range(1 << n)]
+
+
+def test_descent_scan_lists_every_class():
+    for n in range(1, 8):
+        classes = collections.defaultdict(list)
+        for p in verify._all_perms(n):
+            classes[verify._naive_descents(p)].append(p)
+        for r in range(n):
+            for s in itertools.combinations(range(1, n), r):
+                assert list(verify._naive_class(s, n)) == classes[s], (s, n)
+                assert verify._descent_scan(n).count(verify._mask(s)) == len(classes[s])
+
+
+def test_full_verify_scans_each_group_once(monkeypatch):
+    # One naive descent scan per n (8 for flip-bijection and the {4}, {2,4}
+    # tables, 4 and 6 for the {2}, {3} tables) and one more call per
+    # flip-bijection image.
+    verify._descent_scan.cache_clear()
+    naive = verify._naive_descents
+    calls = collections.Counter()
+
+    def counted(seq):
+        calls[len(seq)] += 1
+        return naive(seq)
+
+    monkeypatch.setattr(verify, "_naive_descents", counted)
+    reports = cli._verification_reports(None, 8)
+    images = sum(r.checked for r in reports if r.claim == "flip-bijection")
+    assert images == 195
+    assert calls == {4: math.factorial(4), 6: math.factorial(6), 8: math.factorial(8) + images}
+    assert sum(calls.values()) == 41259
+
+
+def test_full_verify_reports_at_max_n_8():
+    reports = [(r.claim, r.params, r.passed, r.checked)
+               for r in cli._verification_reports(None, 8)]
+    spike_sum_ranges = [
+        ([], 1), ([1], 2), ([2], 3), ([3], 4), ([4], 5), ([1, 2], 3), ([1, 3], 4),
+        ([1, 4], 5), ([2, 3], 4), ([2, 4], 5), ([3, 4], 5), ([1, 2, 3], 4),
+        ([1, 2, 4], 5), ([1, 3, 4], 5), ([2, 3, 4], 5), ([1, 2, 3, 4], 5)]
+    assert reports == [
+        ("marked-lemma", {"n": 1}, True, 1),
+        ("marked-lemma", {"n": 2}, True, 4),
+        ("marked-lemma", {"n": 3}, True, 24),
+        ("marked-lemma", {"n": 4}, True, 192),
+        ("marked-lemma", {"n": 5}, True, 1920),
+        ("marked-lemma", {"n": 6}, True, 23040),
+        ("marked-lemma", {"n": 7}, True, 322560),
+        *[("spike-sum", {"s": s, "n_range": list(range(low, 9))}, True, 9 - low)
+          for s, low in spike_sum_ranges],
+        ("flip-bijection", {"i": [], "j": [], "n": 8}, True, 1),
+        ("flip-bijection", {"i": [2], "j": [], "n": 8}, True, 7),
+        ("flip-bijection", {"i": [2], "j": [2], "n": 8}, True, 1),
+        ("flip-bijection", {"i": [3], "j": [], "n": 8}, True, 21),
+        ("flip-bijection", {"i": [3], "j": [3], "n": 8}, True, 1),
+        ("flip-bijection", {"i": [4], "j": [], "n": 8}, True, 35),
+        ("flip-bijection", {"i": [4], "j": [4], "n": 8}, True, 1),
+        ("flip-bijection", {"i": [2, 4], "j": [], "n": 8}, True, 85),
+        ("flip-bijection", {"i": [2, 4], "j": [2], "n": 8}, True, 35),
+        ("flip-bijection", {"i": [2, 4], "j": [4], "n": 8}, True, 7),
+        ("flip-bijection", {"i": [2, 4], "j": [2, 4], "n": 8}, True, 1),
+        ("flip-table", {"i": [2], "m": 2}, True, 9),
+        ("flip-table", {"i": [3], "m": 3}, True, 12),
+        ("flip-table", {"i": [4], "m": 4}, True, 15),
+        ("flip-table", {"i": [2, 4], "m": 4}, True, 25),
+    ]
+    assert sum(r[3] for r in reports) == 348076
+
+
+def test_flip_checks_leave_numpy_unloaded():
+    for argv in (["verify", "--claim", "flip-table"],
+                 ["verify", "--claim", "flip-bijection", "--max-n", "8"]):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import contextlib, io, sys\n"
+             "from peakpoly import cli\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             f"    code = cli.run({argv!r})\n"
+             "print(code, 'numpy' in sys.modules)"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "0 False", argv
 
 
 def test_huge_step_counts_are_refused_quickly():
@@ -100,6 +194,8 @@ def test_spike_sum():
     assert report.passed
     with pytest.raises(ValueError):
         pp.check_spike_sum((2,), [9])
+    with pytest.raises(ValueError, match="n_range is empty"):
+        pp.check_spike_sum((2,), [])
 
 
 def test_spike_sum_all_small_sets():
@@ -122,6 +218,23 @@ def test_flip_bijection():
         pp.check_flip_bijection((2, 4), (), 4)
     with pytest.raises(pp.CapExceeded, match="permutations of 11 takes 39916800 steps"):
         pp.check_flip_bijection((2, 4), (), 11)
+
+
+def test_flip_bijection_catches_defects_with_a_warm_scan(monkeypatch):
+    # The shared scan is filled by a passing check first; a cached scan
+    # must not hide a wrong flip map or a wrong admission test.
+    assert pp.check_flip_bijection((2, 4), (2,), 8).passed
+    with monkeypatch.context() as patch:
+        patch.setattr(flips, "psi_set", lambda p, positions: tuple(p))
+        report = pp.check_flip_bijection((2, 4), (2,), 8)
+    assert not report.passed
+    assert report.counterexample["image_descents"] == (2, 3)
+    assert report.counterexample["expected_descents"] == (1, 2, 3)
+    with monkeypatch.context() as patch:
+        patch.setattr(flips, "admits_flip", lambda p, i: flips.FlipAdmission(False, False))
+        report = pp.check_flip_bijection((2, 4), (2,), 8)
+    assert not report.passed
+    assert report.counterexample == {"domain_size": 0, "target_class_size": 35}
 
 
 def test_flip_bijection_image_class_sizes():
