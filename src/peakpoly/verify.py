@@ -5,30 +5,28 @@ deliberately share no code with the operations under test: descents and
 spikes are re-derived from raw value comparisons, set-level spikes from
 direction changes of the up-down word, and class sizes and the marked
 lemma's tallies from exhaustive sweeps of the full symmetric or signed
-symmetric group. Each whole-group scan runs once per n in a process and
-is shared by the checks that read it: the flip checks read every
-permutation's naive descent set from one pure-Python scan, kept as a
-compact array of bitmasks, and the numpy sweeps hold every permutation
-of n as one column of an n x n! array and read the statistics of all
-columns at once as bitmasks, one row comparison per position; tests pin
-those scans to the per-tuple statistics. A full scan also rebuilds the
-flip-admission table of ``polynomials``, the reference it is checked
-against. A failing check reports the first counterexample in full.
+symmetric group. The whole group is scanned once per n in a process, in
+pure Python: every permutation's naive descent set, kept as a compact
+array of bitmasks and grouped by descent set. The signed-group sweeps
+read only those classes, since the descents of a signed permutation, and
+the peaks and spikes of any sequence, follow from its signs and its
+descent set alone; tests pin those rules to the per-tuple statistics. A
+full scan also rebuilds the flip-admission table of ``polynomials``, the
+reference it is checked against. A failing check reports the first
+counterexample in full.
 """
 from __future__ import annotations
 
 import array
+import collections
 import copy
 import functools
 import itertools
 import math
-from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from . import enumeration, flips, polynomials
 from .core import Perm, Positions, Record, check_cost
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 class VerificationReport(Record):
@@ -128,20 +126,17 @@ def _mask(positions: Iterable[int]) -> int:
 
 def _all_perms(n: int) -> Iterable[Perm]:
     """Every permutation of n, in lex order: the one source of the
-    whole-group scans, which run once per n and are shared by the checks
-    (``_descent_scan``, ``_perm_columns``), and of the class members read
-    from them."""
+    whole-group scan ``_descent_scan``, which runs once per n and is
+    shared by the checks, and of the class members read from it."""
     return itertools.permutations(range(1, n + 1))
 
 
 @functools.lru_cache(maxsize=8)
 def _descent_scan(n: int) -> array.array:
     """The naive descent set of every permutation of n as a bitmask, in
-    the lex order of ``_all_perms``: one scan per n, shared by the flip
-    checks.
+    the lex order of ``_all_perms``: one scan per n, shared by every check.
 
-    Two bytes per permutation instead of its tuple, so n = 10 fits in
-    7 MB; numpy-free, so the flip checks leave numpy unloaded.
+    Two bytes per permutation instead of its tuple, so n = 10 fits in 7 MB.
     """
     # Masks are looked up, not built per permutation: _mask on each of
     # the n! descent sets would almost double the scan's cost.
@@ -155,81 +150,73 @@ def _naive_class(s: Positions, n: int) -> Iterator[Perm]:
 
 
 @functools.lru_cache(maxsize=8)
-def _perm_columns(n: int) -> np.ndarray:
-    """Every permutation of n as one column of an n x n! array, in lex order.
+def _descent_classes(n: int) -> dict[int, tuple[int, Perm]]:
+    """Each descent mask of the scan with its class size and the class's
+    first member in lex order; keyed in the lex order of those members."""
+    scan = _descent_scan(n)
+    first: dict[int, Perm] = {}
+    for d, sigma in zip(scan, _all_perms(n)):
+        if d not in first:
+            first[d] = sigma
+    sizes = collections.Counter(scan)
+    return {d: (sizes[d], first[d]) for d in sorted(first, key=first.__getitem__)}
 
-    Row i holds the value at position i+1 of every permutation, so a
-    comparison of two positions reads two contiguous rows. The values
-    stream from ``_all_perms`` straight into the array, once per n.
+
+# Statistics read off a descent mask, bit i for position i as in ``_mask``.
+# The values of a (signed) permutation are distinct, so whether position i
+# is a peak or a spike depends only on whether i-1 and i are descents.
+
+def _peak_bits(d: int) -> int:
+    """Peaks of a sequence with descent mask d: i in D, i-1 not in D, i > 1."""
+    return d & ~(d << 1) & ~0b11
+
+
+def _spike_bits(d: int, n: int) -> int:
+    """Spikes of a length-n sequence with descent mask d:
+    (i-1 in D) != (i in D) for 2 <= i <= n-1."""
+    return (d ^ (d << 1)) & ((1 << n) - 1) & ~0b11
+
+
+def _sign_masks(signs: Sequence[int]) -> tuple[int, int, int]:
+    """The positions i whose sign pair (signs[i-1], signs[i]) is (+,+),
+    (-,-) and (+,-), as three bitmasks."""
+    pairs: dict[tuple[int, int], int] = collections.defaultdict(int)
+    for i in range(1, len(signs)):
+        pairs[signs[i - 1], signs[i]] |= 1 << i
+    return pairs[1, 1], pairs[-1, -1], pairs[1, -1]
+
+
+def _signed_descent_bits(d: int, masks: tuple[int, int, int]) -> int:
+    """Descent mask of the signed copy of a permutation with descent mask d.
+
+    Values are positive, so a*sigma_i > b*sigma_{i+1} holds where sigma
+    descends for (+,+), where it ascends for (-,-), always for (+,-) and
+    never for (-,+).
     """
-    import numpy as np  # the sweeps alone need numpy; keep it off the CLI's start-up
-
-    values = np.fromiter(itertools.chain.from_iterable(_all_perms(n)), dtype=np.int16,
-                         count=n * math.factorial(n))
-    return np.ascontiguousarray(values.reshape(-1, n).T)
-
-
-# Position sets of the columns as bitmasks, bit i for position i as in
-# ``_mask``: uint16 holds positions up to 15, past every swept n.
-
-def _descent_bits(cols: np.ndarray) -> np.ndarray:
-    """Each column's descent set as a bitmask."""
-    import numpy as np
-
-    bits = np.zeros(cols.shape[1], dtype=np.uint16)
-    for i in range(1, len(cols)):
-        bits |= (cols[i - 1] > cols[i]).astype(np.uint16) << i
-    return bits
-
-
-def _turn_bits(cols: np.ndarray, valleys: bool) -> np.ndarray:
-    """Each column's peak set as a bitmask; its spike set when ``valleys``."""
-    import numpy as np
-
-    bits = np.zeros(cols.shape[1], dtype=np.uint16)
-    for i in range(1, len(cols) - 1):
-        rise, fall = cols[i - 1] < cols[i], cols[i] > cols[i + 1]
-        turn = rise == fall if valleys else rise & fall
-        bits |= turn.astype(np.uint16) << (i + 1)
-    return bits
-
-
-def _signed(cols: np.ndarray) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
-    """Every sign pattern of the rows, with its signed copy of ``cols``."""
-    import numpy as np
-
-    for signs in itertools.product((1, -1), repeat=len(cols)):
-        yield signs, cols * np.array(signs, dtype=np.int16)[:, None]
+    keep, flip, fall = masks
+    return d & keep | ~d & flip | fall
 
 
 @functools.lru_cache(maxsize=8)
-def _signed_descent_histogram(n: int) -> np.ndarray:
-    """Counts of signed permutations of n per descent-set bitmask.
-
-    The comparison a*sigma_i > b*sigma_{i+1} of each position is made once
-    per sign pair (a, b), as a bit row; the descent bitmasks of a sign
-    pattern's signed columns are the OR of its rows.
-    """
-    import numpy as np
-
-    cols = _perm_columns(n)
-    rows = {(i, a, b): (a * cols[i - 1] > b * cols[i]).astype(np.uint16) << i
-            for i in range(1, n) for a in (1, -1) for b in (1, -1)}
-    counts = np.zeros(1 << n, dtype=np.int64)
+def _signed_descent_histogram(n: int) -> list[int]:
+    """Counts of signed permutations of n per descent-set bitmask, summed
+    over (sign pattern x descent class)."""
+    counts = [0] * (1 << n)
+    classes = _descent_classes(n)
     for signs in itertools.product((1, -1), repeat=n):
-        bits = np.zeros(cols.shape[1], dtype=np.uint16)
-        for i in range(1, n):
-            bits |= rows[i, signs[i - 1], signs[i]]
-        counts += np.bincount(bits, minlength=1 << n)
+        masks = _sign_masks(signs)
+        for d, (size, _) in classes.items():
+            counts[_signed_descent_bits(d, masks)] += size
     return counts
 
 
 @functools.lru_cache(maxsize=8)
-def _peak_class_histogram(n: int) -> np.ndarray:
+def _peak_class_histogram(n: int) -> list[int]:
     """Counts of plain permutations of n per peak-set bitmask."""
-    import numpy as np
-
-    return np.bincount(_turn_bits(_perm_columns(n), valleys=False), minlength=1 << n)
+    counts = [0] * (1 << n)
+    for d, (size, _) in _descent_classes(n).items():
+        counts[_peak_bits(d)] += size
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -241,51 +228,42 @@ def check_marked_lemma(n: int) -> VerificationReport:
     and each qualifying descent set is hit by exactly 2^(|I|+1) patterns.
 
     Exhausts the 2^n * n! signed permutations of n, one sign pattern at a
-    time over every permutation at once: n <= 7 under the step limit.
+    time over every descent class at once: n <= 7 under the step limit.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     check_cost(2 ** n * math.factorial(n), f"scanning the signed permutations of {n}")
-    import numpy as np
-
     params = {"n": n}
-    cols = _perm_columns(n)
-
-    def sigma(column: int) -> Perm:
-        return tuple(int(v) for v in cols[:, column])
-
-    peaks = _turn_bits(cols, valleys=False)
-    # tally[c, D]: sign patterns of column c whose descent set has mask D.
-    tally = np.zeros((cols.shape[1], 1 << n), dtype=np.int16)
-    every_column = np.arange(cols.shape[1])
-    for signs, signed in _signed(cols):
-        lost = np.flatnonzero(peaks & ~_turn_bits(signed, valleys=True))
-        if lost.size:
-            perm = sigma(lost[0])
-            rho = tuple(s * v for s, v in zip(signs, perm))
-            return VerificationReport(
-                "marked-lemma", params, False,
-                {"sigma": perm, "rho": rho, "peaks": list(_naive_peaks(perm)),
-                 "rho_spikes": _naive_spikes(rho)})
-        tally[every_column, _descent_bits(signed)] += 1
+    classes = _descent_classes(n)
+    # tally[d][e]: sign patterns that give the members of class d descent mask e.
+    tally = {d: [0] * (1 << n) for d in classes}
+    for signs in itertools.product((1, -1), repeat=n):
+        masks = _sign_masks(signs)
+        for d, (_, sigma) in classes.items():
+            e = _signed_descent_bits(d, masks)
+            if _peak_bits(d) & ~_spike_bits(e, n):
+                rho = tuple(s * v for s, v in zip(signs, sigma))
+                return VerificationReport(
+                    "marked-lemma", params, False,
+                    {"sigma": sigma, "rho": rho, "peaks": list(_naive_peaks(sigma)),
+                     "rho_spikes": _naive_spikes(rho)})
+            tally[d][e] += 1
     all_sets = [
-        frozenset(c)
+        (sorted(c), _mask(c), _mask(_naive_set_spikes(c, n)))
         for r in range(n)
         for c in itertools.combinations(range(1, n), r)
     ]
-    set_spikes = np.array([_mask(_naive_set_spikes(s, n)) for s in all_sets], dtype=np.uint16)
-    popcount = np.array([bin(m).count("1") for m in range(1 << n)], dtype=np.int16)
-    expected = np.int16(2) << popcount[peaks]
-    want = np.where((peaks[:, None] & ~set_spikes) == 0, expected[:, None], np.int16(0))
-    got = tally[:, [_mask(s) for s in all_sets]]
-    wrong = np.argwhere(got != want)
-    if len(wrong):
-        column, k = wrong[0]
-        return VerificationReport(
-            "marked-lemma", params, False,
-            {"sigma": sigma(column), "descent_set": sorted(all_sets[k]),
-             "count": int(got[column, k]), "expected": int(want[column, k])})
-    return VerificationReport("marked-lemma", params, True, checked=int(want.size))
+    for d, (_, sigma) in classes.items():
+        peaks = _peak_bits(d)
+        for s, mask, set_spikes in all_sets:
+            want = 0 if peaks & ~set_spikes else 2 << peaks.bit_count()
+            if tally[d][mask] != want:
+                return VerificationReport(
+                    "marked-lemma", params, False,
+                    {"sigma": sigma, "descent_set": s, "count": tally[d][mask],
+                     "expected": want})
+    return VerificationReport("marked-lemma", params, True,
+                              checked=math.factorial(n) * len(all_sets))
 
 
 def check_spike_sum(s: Iterable[int], n_range: Iterable[int]) -> VerificationReport:
@@ -297,14 +275,14 @@ def check_spike_sum(s: Iterable[int], n_range: Iterable[int]) -> VerificationRep
     ns = sorted(n_range)
     if not ns:
         raise ValueError("n_range is empty: a check over no n checks nothing")
+    if not (s[-1] if s else 0) < ns[0]:
+        raise ValueError(f"need max(S) < n, got S={list(s)}, n={ns[0]}")
+    check_cost(math.factorial(ns[-1]), f"scanning the permutations of {ns[-1]}")
     params = {"s": list(s), "n_range": ns}
     checked = 0
     for n in ns:
-        # A hand ceiling: steps measure neither the numpy tallies nor their n! memory.
-        if not (s[-1] if s else 0) < n <= 8:
-            raise ValueError(f"need max(S) < n <= 8, got S={list(s)}, n={n}")
         d = enumeration.count_descent_class(s, n)
-        signed_count = int(_signed_descent_histogram(n)[_mask(s)])
+        signed_count = _signed_descent_histogram(n)[_mask(s)]
         if signed_count != (1 << n) * d:
             return VerificationReport(
                 "spike-sum", params, False,
@@ -317,7 +295,7 @@ def check_spike_sum(s: Iterable[int], n_range: Iterable[int]) -> VerificationRep
             for subset in itertools.combinations(spikes, r):
                 if not _naive_admissible(subset):
                     continue
-                size = int(peak_hist[_mask(subset)])
+                size = peak_hist[_mask(subset)]
                 divisor = 1 << (n - len(subset) - 1)
                 if size % divisor:
                     return VerificationReport(

@@ -261,8 +261,8 @@ def test_module_invocation():
 
 
 def test_import_loads_neither_numpy_nor_a_process_pool():
-    # Only verify's brute-force sweeps need numpy; every CLI call pays
-    # for what `import peakpoly.cli` loads. `dataclasses` would pull in
+    # Every CLI call pays for what `import peakpoly.cli` loads; no layer
+    # needs numpy or a process pool for it. `dataclasses` would pull in
     # `inspect`, `ast`, `dis` and `tokenize`.
     proc = subprocess.run(
         [sys.executable, "-c",

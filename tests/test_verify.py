@@ -46,6 +46,16 @@ def test_marked_lemma_catches_a_wrong_tally(monkeypatch):
     assert report.counterexample["count"] != report.counterexample["expected"]
 
 
+def test_marked_lemma_catches_a_lost_peak(monkeypatch):
+    # A spike rule that finds no spikes loses the peak of the first
+    # permutation that has one, under the first sign pattern.
+    monkeypatch.setattr(verify, "_spike_bits", lambda d, n: 0)
+    report = pp.check_marked_lemma(4)
+    assert not report.passed
+    assert report.counterexample == {"sigma": (1, 2, 4, 3), "rho": (1, 2, 4, 3),
+                                     "peaks": [3], "rho_spikes": (3,)}
+
+
 def test_failing_flip_table_report_is_json(monkeypatch):
     # A table missing a row fails the scan comparison; the report carries
     # the rows, which its JSON form gives as plain dicts.
@@ -66,20 +76,20 @@ def test_failing_flip_table_report_is_json(monkeypatch):
     assert len(data["counterexample"]["table_rows"]) == len(rows) - 1
 
 
-def test_bit_kernels_match_the_per_tuple_statistics():
+def test_mask_rules_match_the_per_tuple_statistics():
+    # Every signed permutation of n <= 5 and every plain one of n <= 7:
+    # its descents follow from its signs and the descents of its values,
+    # and its peaks and spikes from its descents.
     for n in range(1, 8):
-        cols = verify._perm_columns(n)
-        perms = list(itertools.permutations(range(1, n + 1)))
-        assert cols.dtype == "int16" and cols.flags.c_contiguous
-        assert [tuple(c) for c in cols.T.tolist()] == perms
-        patterns = verify._signed(cols) if n <= 5 else [((1,) * n, cols)]
-        for signs, signed in patterns:
-            seqs = [tuple(s * v for s, v in zip(signs, p)) for p in perms]
-            assert [tuple(c) for c in signed.T.tolist()] == seqs
-            for bits, stat in ((verify._descent_bits(signed), verify._naive_descents),
-                               (verify._turn_bits(signed, valleys=False), verify._naive_peaks),
-                               (verify._turn_bits(signed, valleys=True), verify._naive_spikes)):
-                assert bits.tolist() == [verify._mask(stat(seq)) for seq in seqs], (n, signs)
+        patterns = itertools.product((1, -1), repeat=n) if n <= 5 else [(1,) * n]
+        for signs in patterns:
+            masks = verify._sign_masks(signs)
+            for p in verify._all_perms(n):
+                rho = tuple(s * v for s, v in zip(signs, p))
+                d = verify._signed_descent_bits(verify._mask(verify._naive_descents(p)), masks)
+                assert d == verify._mask(verify._naive_descents(rho)), (p, signs)
+                assert verify._peak_bits(d) == verify._mask(verify._naive_peaks(rho)), (p, signs)
+                assert verify._spike_bits(d, n) == verify._mask(verify._naive_spikes(rho)), (p, signs)
 
 
 def test_signed_descent_histogram_is_the_per_tuple_tally():
@@ -88,7 +98,7 @@ def test_signed_descent_histogram_is_the_per_tuple_tally():
             verify._mask(verify._naive_descents(tuple(s * v for s, v in zip(signs, p))))
             for p in verify._all_perms(n)
             for signs in itertools.product((1, -1), repeat=n))
-        assert verify._signed_descent_histogram(n).tolist() == [tally[m] for m in range(1 << n)]
+        assert verify._signed_descent_histogram(n) == [tally[m] for m in range(1 << n)]
 
 
 def test_descent_scan_lists_every_class():
@@ -100,13 +110,20 @@ def test_descent_scan_lists_every_class():
             for s in itertools.combinations(range(1, n), r):
                 assert list(verify._naive_class(s, n)) == classes[s], (s, n)
                 assert verify._descent_scan(n).count(verify._mask(s)) == len(classes[s])
+        firsts = sorted((members[0], verify._mask(s), len(members))
+                        for s, members in classes.items())
+        assert list(verify._descent_classes(n).items()) == [
+            (mask, (size, first)) for first, mask, size in firsts]
 
 
 def test_full_verify_scans_each_group_once(monkeypatch):
-    # One naive descent scan per n (8 for flip-bijection and the {4}, {2,4}
-    # tables, 4 and 6 for the {2}, {3} tables) and one more call per
+    # One naive descent scan per n: 1..7 for marked-lemma, 1..8 for
+    # spike-sum, 8 for flip-bijection and the {4}, {2,4} tables, 4 and 6
+    # for the {2}, {3} tables, all shared; and one more call per
     # flip-bijection image.
-    verify._descent_scan.cache_clear()
+    for cached in (verify._descent_scan, verify._descent_classes,
+                   verify._signed_descent_histogram, verify._peak_class_histogram):
+        cached.cache_clear()
     naive = verify._naive_descents
     calls = collections.Counter()
 
@@ -118,8 +135,8 @@ def test_full_verify_scans_each_group_once(monkeypatch):
     reports = cli._verification_reports(None, 8)
     images = sum(r.checked for r in reports if r.claim == "flip-bijection")
     assert images == 195
-    assert calls == {4: math.factorial(4), 6: math.factorial(6), 8: math.factorial(8) + images}
-    assert sum(calls.values()) == 41259
+    assert calls == {n: math.factorial(n) + (images if n == 8 else 0) for n in range(1, 9)}
+    assert sum(calls.values()) == 46428
 
 
 def test_full_verify_reports_at_max_n_8():
@@ -158,19 +175,23 @@ def test_full_verify_reports_at_max_n_8():
     assert sum(r[3] for r in reports) == 348076
 
 
-def test_flip_checks_leave_numpy_unloaded():
-    for argv in (["verify", "--claim", "flip-table"],
-                 ["verify", "--claim", "flip-bijection", "--max-n", "8"]):
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "import contextlib, io, sys\n"
-             "from peakpoly import cli\n"
-             "with contextlib.redirect_stdout(io.StringIO()):\n"
-             f"    code = cli.run({argv!r})\n"
-             "print(code, 'numpy' in sys.modules)"],
-            capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "0 False", argv
+def test_verify_runs_without_numpy():
+    # Every claim, and the full suite at --max-n 8, with numpy made
+    # unimportable: the package has no runtime dependency.
+    argvs = [["verify", "--claim", claim] for claim in cli.CLAIMS] + [["verify", "--max-n", "8"]]
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import contextlib, io, sys\n"
+         "sys.modules['numpy'] = None\n"
+         "from peakpoly import cli\n"
+         "codes = []\n"
+         f"for argv in {argvs!r}:\n"
+         "    with contextlib.redirect_stdout(io.StringIO()):\n"
+         "        codes.append(cli.run(argv))\n"
+         "print(codes)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[0, 0, 0, 0, 0]"
 
 
 def test_huge_step_counts_are_refused_quickly():
@@ -192,10 +213,31 @@ def test_spike_sum():
     assert report.checked == 5
     report = pp.check_spike_sum((), range(1, 7))
     assert report.passed
-    with pytest.raises(ValueError):
-        pp.check_spike_sum((2,), [9])
+    assert pp.check_spike_sum((2,), [9]).passed
+    with pytest.raises(ValueError, match="need max"):
+        pp.check_spike_sum((2,), [4, 2])
+    with pytest.raises(pp.CapExceeded, match="permutations of 11 takes 39916800 steps"):
+        pp.check_spike_sum((2,), [3, 11])
     with pytest.raises(ValueError, match="n_range is empty"):
         pp.check_spike_sum((2,), [])
+
+
+def test_spike_sum_catches_a_wrong_count(monkeypatch):
+    # The signed tally must disagree with an enumeration off by one, and
+    # the peak expansion with a spike set missing a spike.
+    count = verify.enumeration.count_descent_class
+    with monkeypatch.context() as patch:
+        patch.setattr(verify.enumeration, "count_descent_class", lambda s, n: count(s, n) + 1)
+        report = pp.check_spike_sum((2, 3), range(4, 7))
+    assert not report.passed
+    assert report.counterexample == {"n": 4, "signed_with_descent_set": 48,
+                                     "scaled_descent_count": 64}
+    naive = verify._naive_set_spikes
+    with monkeypatch.context() as patch:
+        patch.setattr(verify, "_naive_set_spikes", lambda s, n: naive(s, n)[:-1])
+        report = pp.check_spike_sum((2, 3), range(4, 7))
+    assert not report.passed
+    assert report.counterexample == {"n": 4, "peak_expansion": 1, "descent_count": 3}
 
 
 def test_spike_sum_all_small_sets():
