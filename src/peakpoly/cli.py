@@ -16,7 +16,6 @@ when a verification check fails, 2 on bad arguments.
 from __future__ import annotations
 
 import argparse
-import csv
 import itertools
 import json
 import sys
@@ -109,6 +108,7 @@ def _emit(out: Output, fmt: str) -> int:
     if fmt == "json":
         print(json.dumps(out.payload, indent=2, ensure_ascii=False))
     elif fmt == "csv":
+        import csv
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(out.header)
         # A dict cell (verify's params) is written as JSON.

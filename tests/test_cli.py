@@ -263,11 +263,11 @@ def test_module_invocation():
 def test_import_loads_neither_numpy_nor_a_process_pool():
     # Every CLI call pays for what `import peakpoly.cli` loads; no layer
     # needs numpy or a process pool for it. `dataclasses` would pull in
-    # `inspect`, `ast`, `dis` and `tokenize`.
+    # `inspect`, `ast`, `dis` and `tokenize`; `csv` serves `--format csv` only.
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, peakpoly.cli; print(sorted({'numpy', 'concurrent.futures.process', "
-         "'dataclasses', 'inspect'} & set(sys.modules)))"],
+         "'dataclasses', 'inspect', 'csv'} & set(sys.modules)))"],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

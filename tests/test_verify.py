@@ -1,3 +1,4 @@
+import array
 import collections
 import itertools
 import json
@@ -116,14 +117,49 @@ def test_descent_scan_lists_every_class():
             (mask, (size, first)) for first, mask, size in firsts]
 
 
-def test_full_verify_scans_each_group_once(monkeypatch):
-    # One naive descent scan per n: 1..7 for marked-lemma, 1..8 for
-    # spike-sum, 8 for flip-bijection and the {4}, {2,4} tables, 4 and 6
-    # for the {2}, {3} tables, all shared; and one more call per
-    # flip-bijection image.
-    for cached in (verify._descent_scan, verify._descent_classes,
-                   verify._signed_descent_histogram, verify._peak_class_histogram):
+CACHED = (verify._descent_scan, verify._naive_class, verify._descent_classes,
+          verify._signed_descent_histogram, verify._peak_class_histogram)
+
+
+@pytest.fixture
+def cold_caches():
+    """Every per-n cache of ``verify`` empty before the test and after it,
+    so that no test reads what another one left behind."""
+    for cached in CACHED:
         cached.cache_clear()
+    yield
+    for cached in CACHED:
+        cached.cache_clear()
+
+
+def _reference_scan(n):
+    return array.array("H", (verify._mask(verify._naive_descents(p)) for p in verify._all_perms(n)))
+
+
+def test_descent_scan_is_the_per_tuple_scan(cold_caches):
+    for n in range(1, 9):
+        assert verify._descent_scan(n) == _reference_scan(n), n
+
+
+def test_checks_catch_a_wrong_descent_scan(monkeypatch, cold_caches):
+    # Position 1 complemented: each block f takes the shifted scan of
+    # n-1 in its first f sub-blocks and the stepped one after them.
+    monkeypatch.setattr(verify, "_descent_scan",
+                        lambda n: array.array("H", (d ^ 2 for d in _reference_scan(n))))
+    report = pp.check_spike_sum((2, 3), range(4, 7))
+    assert report.counterexample == {"n": 4, "signed_with_descent_set": 40,
+                                     "scaled_descent_count": 48}
+    report = pp.check_flip_table_partition((3,), 3)
+    assert not report.passed
+    assert report.counterexample["k"] == 0
+
+
+def test_full_verify_scans_each_group_once(monkeypatch, cold_caches):
+    # One descent scan per n = 1..8, each built from the one below it, so
+    # the only naive descent calls are one per flip-bijection image. Each
+    # class is listed once: flip-bijection's five source classes at n = 8,
+    # which the {4} and {2,4} tables read again, and the classes of the
+    # {2} and {3} tables at n = 4 and 6.
     naive = verify._naive_descents
     calls = collections.Counter()
 
@@ -135,8 +171,10 @@ def test_full_verify_scans_each_group_once(monkeypatch):
     reports = cli._verification_reports(None, 8)
     images = sum(r.checked for r in reports if r.claim == "flip-bijection")
     assert images == 195
-    assert calls == {n: math.factorial(n) + (images if n == 8 else 0) for n in range(1, 9)}
-    assert sum(calls.values()) == 46428
+    assert calls == {8: images}
+    assert verify._descent_scan.cache_info().misses == 8
+    listings = verify._naive_class.cache_info()
+    assert (listings.misses, listings.hits) == (7, 8)
 
 
 def test_full_verify_reports_at_max_n_8():
@@ -260,6 +298,9 @@ def test_flip_bijection():
         pp.check_flip_bijection((2, 4), (), 4)
     with pytest.raises(pp.CapExceeded, match="permutations of 11 takes 39916800 steps"):
         pp.check_flip_bijection((2, 4), (), 11)
+    report = pp.check_flip_bijection((2, 4), (2,), 10)
+    assert report.passed, report.counterexample
+    assert report.checked == 84
 
 
 def test_flip_bijection_catches_defects_with_a_warm_scan(monkeypatch):
