@@ -82,9 +82,9 @@ class BinomialPolynomial(Record):
         return 0
 
     def evaluate(self, n: int) -> int:
-        """Sum of c_k * C(n-center, k); exact for any integer n.
-
-        Evaluating below the center is extrapolation and warns.
+        """Sum of c_k * C(n-center, k), stepping C(x,k) = C(x,k-1)*(x-k+1)/k,
+        a division exact for any integer n. Below the center it extrapolates
+        and warns.
         """
         if n < self.center:
             warnings.warn(
@@ -92,8 +92,11 @@ class BinomialPolynomial(Record):
                 "extrapolates the polynomial",
                 stacklevel=2,
             )
-        x = n - self.center
-        return sum(c * binomial(x, k) for k, c in enumerate(self.coeffs))
+        x, term, total = n - self.center, 1, 0
+        for k, c in enumerate(self.coeffs):
+            term = term * (x - k + 1) // k if k else 1
+            total += c * term
+        return total
 
     __call__ = evaluate
 

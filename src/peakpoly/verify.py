@@ -7,11 +7,12 @@ direction changes of the up-down word, and class sizes and the marked
 lemma's tallies from exhaustive sweeps of the full symmetric or signed
 symmetric group. Those sweeps read one array of descent-set bitmasks per
 n, built from the array for n-1 by slices and pinned by tests to every
-permutation's naive descent set. The signed-group sweeps read only its
-classes: a signed permutation's descents, and any sequence's peaks and
-spikes, follow from its signs and descent set, as tests pin. A full
-scan also rebuilds the flip-admission table of ``polynomials``, its
-reference. A failing check reports the first counterexample in full.
+permutation's naive descent set, and counted once for the class sizes.
+The signed group is read as one tally per class of its sign patterns by
+signed descent set, since signed descents, peaks and spikes follow from
+signs and descent sets, as tests pin. A full scan also rebuilds the
+flip-admission table of ``polynomials``, its reference. A failing check
+reports the first counterexample in full.
 """
 from __future__ import annotations
 
@@ -143,22 +144,24 @@ def _descent_scan(n: int) -> array.array:
 
 
 @functools.lru_cache(maxsize=8)
-def _naive_class(s: Positions, n: int) -> tuple[Perm, ...]:
-    """The members of D(S,n) in lex order, listed once from the shared scan."""
-    return tuple(itertools.compress(_all_perms(n), map(_mask(s).__eq__, _descent_scan(n))))
+def _descent_classes(n: int) -> collections.Counter[int]:
+    """The size of each descent class of n by its mask, counted off the
+    shared scan in order of first appearance: lex order of first members."""
+    return collections.Counter(_descent_scan(n))
 
 
 @functools.lru_cache(maxsize=8)
-def _descent_classes(n: int) -> dict[int, tuple[int, Perm]]:
-    """Each descent mask of the scan with its class size and the class's
-    first member in lex order; keyed in the lex order of those members."""
-    scan = _descent_scan(n)
-    first: dict[int, Perm] = {}
-    for d, sigma in zip(scan, _all_perms(n)):
-        if d not in first:
-            first[d] = sigma
-    sizes = collections.Counter(scan)
-    return {d: (sizes[d], first[d]) for d in sorted(first, key=first.__getitem__)}
+def _naive_class(d: int, n: int) -> tuple[Perm, ...]:
+    """The members of the descent class with mask d in lex order: those of
+    the shared scan, each kept only if its naive descent set is d."""
+    listed = itertools.compress(_all_perms(n), map(d.__eq__, _descent_scan(n)))
+    return tuple(p for p in listed if _mask(_naive_descents(p)) == d)
+
+
+def _naive_overlap_k(p: Perm, m: int) -> int | None:
+    """The initial-set rule: k if p[:m] holds exactly m+1..m+k of m+1..2m, else None."""
+    hit = set(p[:m]) & set(range(m + 1, 2 * m + 1))
+    return len(hit) if hit == set(range(m + 1, m + 1 + len(hit))) else None
 
 
 # Statistics read off a descent mask, bit i for position i as in ``_mask``.
@@ -197,23 +200,22 @@ def _signed_descent_bits(d: int, masks: tuple[int, int, int]) -> int:
 
 
 @functools.lru_cache(maxsize=8)
-def _signed_descent_histogram(n: int) -> list[int]:
-    """Counts of signed permutations of n per descent-set bitmask, summed
-    over (sign pattern x descent class)."""
-    counts = [0] * (1 << n)
-    classes = _descent_classes(n)
+def _sign_tally(n: int) -> dict[int, list[int]]:
+    """tally[d][e]: the sign patterns of n that give the members of descent
+    class d the signed descent mask e, for every class of the scan."""
+    tally = {d: [0] * (1 << n) for d in _descent_classes(n)}
     for signs in itertools.product((1, -1), repeat=n):
         masks = _sign_masks(signs)
-        for d, (size, _) in classes.items():
-            counts[_signed_descent_bits(d, masks)] += size
-    return counts
+        for d, row in tally.items():
+            row[_signed_descent_bits(d, masks)] += 1
+    return tally
 
 
 @functools.lru_cache(maxsize=8)
 def _peak_class_histogram(n: int) -> list[int]:
     """Counts of plain permutations of n per peak-set bitmask."""
     counts = [0] * (1 << n)
-    for d, (size, _) in _descent_classes(n).items():
+    for d, size in _descent_classes(n).items():
         counts[_peak_bits(d)] += size
     return counts
 
@@ -226,40 +228,40 @@ def check_marked_lemma(n: int) -> VerificationReport:
     """All sign patterns of any permutation keep its peaks among their spikes,
     and each qualifying descent set is hit by exactly 2^(|I|+1) patterns.
 
-    Exhausts the 2^n * n! signed permutations of n, one sign pattern at a
-    time over every descent class at once: n <= 7 under the step limit.
+    Exhausts the 2^n * n! signed permutations of n through the sign tally
+    of its descent classes, n <= 7 under the step limit. A lost peak is
+    reported under the first sign pattern that loses it in its class.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     check_cost(2 ** n * math.factorial(n), f"scanning the signed permutations of {n}")
     params = {"n": n}
-    classes = _descent_classes(n)
-    # tally[d][e]: sign patterns that give the members of class d descent mask e.
-    tally = {d: [0] * (1 << n) for d in classes}
-    for signs in itertools.product((1, -1), repeat=n):
-        masks = _sign_masks(signs)
-        for d, (_, sigma) in classes.items():
-            e = _signed_descent_bits(d, masks)
-            if _peak_bits(d) & ~_spike_bits(e, n):
+    tally = _sign_tally(n)
+    for d, row in tally.items():
+        peaks = _peak_bits(d)
+        if not any(count and peaks & ~_spike_bits(e, n) for e, count in enumerate(row)):
+            continue
+        sigma = _naive_class(d, n)[0]
+        for signs in itertools.product((1, -1), repeat=n):
+            if peaks & ~_spike_bits(_signed_descent_bits(d, _sign_masks(signs)), n):
                 rho = tuple(s * v for s, v in zip(signs, sigma))
                 return VerificationReport(
                     "marked-lemma", params, False,
                     {"sigma": sigma, "rho": rho, "peaks": list(_naive_peaks(sigma)),
                      "rho_spikes": _naive_spikes(rho)})
-            tally[d][e] += 1
     all_sets = [
         (sorted(c), _mask(c), _mask(_naive_set_spikes(c, n)))
         for r in range(n)
         for c in itertools.combinations(range(1, n), r)
     ]
-    for d, (_, sigma) in classes.items():
+    for d, row in tally.items():
         peaks = _peak_bits(d)
         for s, mask, set_spikes in all_sets:
             want = 0 if peaks & ~set_spikes else 2 << peaks.bit_count()
-            if tally[d][mask] != want:
+            if row[mask] != want:
                 return VerificationReport(
                     "marked-lemma", params, False,
-                    {"sigma": sigma, "descent_set": s, "count": tally[d][mask],
+                    {"sigma": _naive_class(d, n)[0], "descent_set": s, "count": row[mask],
                      "expected": want})
     return VerificationReport("marked-lemma", params, True,
                               checked=math.factorial(n) * len(all_sets))
@@ -281,7 +283,8 @@ def check_spike_sum(s: Iterable[int], n_range: Iterable[int]) -> VerificationRep
     checked = 0
     for n in ns:
         d = enumeration.count_descent_class(s, n)
-        signed_count = _signed_descent_histogram(n)[_mask(s)]
+        tally = _sign_tally(n)
+        signed_count = sum(size * tally[c][_mask(s)] for c, size in _descent_classes(n).items())
         if signed_count != (1 << n) * d:
             return VerificationReport(
                 "spike-sum", params, False,
@@ -334,14 +337,9 @@ def check_flip_bijection(i_set: Iterable[int], j_sub: Iterable[int],
              "library_descent_set": flips.canonical_descent_set(i_set)})
 
     m = max(i_set) if i_set else 0
-
-    def overlap_k(p: Perm) -> int | None:
-        hit = set(p[:m]) & set(range(m + 1, 2 * m + 1))
-        return len(hit) if hit == set(range(m + 1, m + 1 + len(hit))) else None
-
-    domain = [sigma for sigma in _naive_class(s_source, n)
+    domain = [sigma for sigma in _naive_class(_mask(s_source), n)
               if all(flips.admits_flip(sigma, j).admits for j in j_sub)]
-    target_size = _descent_scan(n).count(_mask(s_target))
+    target_size = _descent_classes(n)[_mask(s_target)]
 
     images = set()
     for sigma in domain:
@@ -357,11 +355,11 @@ def check_flip_bijection(i_set: Iterable[int], j_sub: Iterable[int],
                 "flip-bijection", params, False,
                 {"duplicate_image": image, "sigma": sigma})
         images.add(image)
-        if m and 2 * m <= n and overlap_k(sigma) != overlap_k(image):
+        sigma_k, image_k = _naive_overlap_k(sigma, m), _naive_overlap_k(image, m)
+        if m and 2 * m <= n and sigma_k != image_k:
             return VerificationReport(
                 "flip-bijection", params, False,
-                {"sigma": sigma, "image": image,
-                 "sigma_k": overlap_k(sigma), "image_k": overlap_k(image)})
+                {"sigma": sigma, "image": image, "sigma_k": sigma_k, "image_k": image_k})
     if len(domain) != target_size:
         return VerificationReport(
             "flip-bijection", params, False,
@@ -382,11 +380,9 @@ def _naive_flip_table(i_set: Positions, m: int) -> polynomials.FlipTable:
     """
     s_target = _naive_canonical_set(i_set, 2 * m)
     blocks: list[list[polynomials.FlipTableRow]] = [[] for _ in range(m + 1)]
-    high = set(range(m + 1, 2 * m + 1))
-    for sigma in _naive_class(s_target, 2 * m):
-        hit = set(sigma[:m]) & high
-        k = len(hit)
-        if hit != set(range(m + 1, m + 1 + k)):
+    for sigma in _naive_class(_mask(s_target), 2 * m):
+        k = _naive_overlap_k(sigma, m)
+        if k is None:
             continue
         admits = tuple(flips.admits_flip(sigma, i).admits for i in i_set)
         blocks[k].append(polynomials.FlipTableRow(sigma, admits))

@@ -79,6 +79,29 @@ def descent_count_by_inclusion_exclusion(s, n):
     return total
 
 
+def chain_weights(s):
+    """f(0..k) of MacMahon's chain formula for S = {s_1 < ... < s_k} and
+    s_0 = 0: f(0) = 1, f(j) = sum_{i<j} (-1)^(j-i-1) C(s_j, s_i) f(i)."""
+    s = (0, *sorted(set(s)))
+    f = [1]
+    for j in range(1, len(s)):
+        f.append(sum((-1) ** (j - i - 1) * math.comb(s[j], s[i]) * f[i] for i in range(j)))
+    return f
+
+
+def chain_descent_count(s, n):
+    """d(S,n) = sum_i (-1)^(k-i) C(n, s_i) f(i), the determinant formula
+    of Stanley, EC1, section 2.2, with f from ``chain_weights``.
+
+    O(|S|^2) big-integer binomials whatever n is, so it reaches n far
+    past the other references for sparse S; dense sets are slow.
+    """
+    s = (0, *sorted(set(s)))
+    k = len(s) - 1
+    return sum((-1) ** (k - i) * math.comb(n, s[i]) * w
+               for i, w in enumerate(chain_weights(s[1:])))
+
+
 def transfer_matrix_count(positions, n, peaks=False):
     """The number of permutations of n whose descent set (or peak set,
     with ``peaks``) is exactly ``positions``, by a backward transfer matrix.

@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import json
 import time
@@ -46,6 +47,21 @@ def test_polynomial_evaluation_below_center_warns():
     with pytest.warns(UserWarning):
         value = poly.evaluate(1)
     assert value == 0  # d({1},n) = n-1 extrapolates to 0 at n=1
+
+
+def test_stepped_evaluation_is_the_per_term_binomial_sum(rng):
+    # Random coefficient vectors at n below zero, below the center, at it
+    # and far above it: each stepped C(n-center, k) is the generalized one.
+    for _ in range(40):
+        center = rng.randrange(16)
+        poly = pp.BinomialPolynomial(
+            center, [rng.randint(-10 ** 6, 10 ** 6) for _ in range(center + 1)])
+        below = [rng.randrange(-30, center) for _ in range(3)]
+        above = [rng.randrange(center, 10 ** 6) for _ in range(3)]
+        for n in [*below, center, *above]:
+            want = sum(c * pp.binomial(n - center, k) for k, c in enumerate(poly.coeffs))
+            with pytest.warns(UserWarning) if n < center else contextlib.nullcontext():
+                assert poly.evaluate(n) == want, (poly, n)
 
 
 def test_json_round_trip():

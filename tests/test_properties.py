@@ -118,6 +118,31 @@ def test_peak_coeffs_evaluate_to_the_backward_transfer_matrix(i_set, lift, data)
     assert poly.evaluate(n) == scaled
 
 
+@settings(PROPERTY, max_examples=30)
+@given(st.sets(st.integers(1, 80), max_size=6), st.data())
+def test_chain_formula_matches_the_engine_and_the_polynomial(s, data):
+    # Sparse S, past brute force and the O(n^2) references: the engine up
+    # to n = 1500, and the polynomial at center max(S)+1 up to n = 10^4.
+    s = tuple(sorted(s))
+    low = max(s, default=0) + 1
+    n = data.draw(st.integers(low, 1500), label="n")
+    assert oracles.chain_descent_count(s, n) == pp.count_descent_class(s, n)
+    far = data.draw(st.integers(low, 10 ** 4), label="far")
+    assert oracles.chain_descent_count(s, far) == pp.descent_coeffs(s, low).evaluate(far)
+
+
+def test_chain_formula_fails_with_one_sign_flipped(monkeypatch):
+    # Negating any one f(j), j >= 1, moves the count by 2 C(n, s_j) f(j).
+    s, n = (2, 5, 9, 40, 77), 1500
+    count = pp.count_descent_class(s, n)
+    assert oracles.chain_descent_count(s, n) == count
+    weights = oracles.chain_weights
+    for j in range(1, len(s) + 1):
+        monkeypatch.setattr(oracles, "chain_weights", lambda positions, j=j: [
+            -w if i == j else w for i, w in enumerate(weights(positions))])
+        assert oracles.chain_descent_count(s, n) != count, j
+
+
 @PROPERTY
 @given(sets_and_sizes(min_n=1, max_n=31, max_size=10), st.data())
 def test_descent_coeffs_evaluate_to_inclusion_exclusion(case, data):

@@ -93,13 +93,18 @@ def test_mask_rules_match_the_per_tuple_statistics():
                 assert verify._spike_bits(d, n) == verify._mask(verify._naive_spikes(rho)), (p, signs)
 
 
-def test_signed_descent_histogram_is_the_per_tuple_tally():
+def test_sign_tally_is_the_per_tuple_tally():
+    # Each class's row counts sign patterns, so it sums to 2^n, and the
+    # rows scaled by the class sizes add up to the signed group's tally.
     for n in range(1, 6):
         tally = collections.Counter(
             verify._mask(verify._naive_descents(tuple(s * v for s, v in zip(signs, p))))
             for p in verify._all_perms(n)
             for signs in itertools.product((1, -1), repeat=n))
-        assert verify._signed_descent_histogram(n) == [tally[m] for m in range(1 << n)]
+        rows = verify._sign_tally(n)
+        assert all(sum(row) == 2 ** n for row in rows.values())
+        assert [sum(size * rows[d][e] for d, size in verify._descent_classes(n).items())
+                for e in range(1 << n)] == [tally[e] for e in range(1 << n)]
 
 
 def test_descent_scan_lists_every_class():
@@ -109,16 +114,15 @@ def test_descent_scan_lists_every_class():
             classes[verify._naive_descents(p)].append(p)
         for r in range(n):
             for s in itertools.combinations(range(1, n), r):
-                assert list(verify._naive_class(s, n)) == classes[s], (s, n)
-                assert verify._descent_scan(n).count(verify._mask(s)) == len(classes[s])
+                assert list(verify._naive_class(verify._mask(s), n)) == classes[s], (s, n)
         firsts = sorted((members[0], verify._mask(s), len(members))
                         for s, members in classes.items())
         assert list(verify._descent_classes(n).items()) == [
-            (mask, (size, first)) for first, mask, size in firsts]
+            (mask, size) for _, mask, size in firsts]
 
 
 CACHED = (verify._descent_scan, verify._naive_class, verify._descent_classes,
-          verify._signed_descent_histogram, verify._peak_class_histogram)
+          verify._sign_tally, verify._peak_class_histogram)
 
 
 @pytest.fixture
@@ -152,14 +156,21 @@ def test_checks_catch_a_wrong_descent_scan(monkeypatch, cold_caches):
     report = pp.check_flip_table_partition((3,), 3)
     assert not report.passed
     assert report.counterexample["k"] == 0
+    # Listed members whose naive descents miss the class are dropped, so
+    # the flip checks fail instead of asking for a flip at a non-spike.
+    for report in (pp.check_flip_table_partition((2,), 2),
+                   pp.check_flip_bijection((2, 4), (2,), 8),
+                   pp.check_flip_bijection((2,), (2,), 6)):
+        assert not report.passed, report.params
 
 
 def test_full_verify_scans_each_group_once(monkeypatch, cold_caches):
     # One descent scan per n = 1..8, each built from the one below it, so
-    # the only naive descent calls are one per flip-bijection image. Each
-    # class is listed once: flip-bijection's five source classes at n = 8,
-    # which the {4} and {2,4} tables read again, and the classes of the
-    # {2} and {3} tables at n = 4 and 6.
+    # the only naive descent calls are one per flip-bijection image and
+    # one per member of a listed class. Each class is listed once:
+    # flip-bijection's five source classes at n = 8 (1 + 7 + 21 + 35 + 85
+    # members), which the {4} and {2,4} tables read again, and the classes
+    # of the {2} and {3} tables at n = 4 and 6 (3 and 10 members).
     naive = verify._naive_descents
     calls = collections.Counter()
 
@@ -171,7 +182,7 @@ def test_full_verify_scans_each_group_once(monkeypatch, cold_caches):
     reports = cli._verification_reports(None, 8)
     images = sum(r.checked for r in reports if r.claim == "flip-bijection")
     assert images == 195
-    assert calls == {8: images}
+    assert calls == {8: images + 149, 6: 10, 4: 3}
     assert verify._descent_scan.cache_info().misses == 8
     listings = verify._naive_class.cache_info()
     assert (listings.misses, listings.hits) == (7, 8)
