@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+import oracles
 import peakpoly as pp
 from peakpoly import cli, flips, verify
 
@@ -48,18 +49,20 @@ def test_marked_lemma_catches_a_wrong_tally(monkeypatch):
 
 
 def test_marked_lemma_catches_a_lost_peak(monkeypatch):
-    # A spike rule that finds no spikes loses the peak of the first
-    # permutation that has one, under the first sign pattern.
-    monkeypatch.setattr(verify, "_spike_bits", lambda d, n: 0)
+    # A peak rule that takes every descent past position 1 for a peak
+    # gives (1, 4, 3, 2) a "peak" at 3. Four of its sign patterns lose it:
+    # they give it the signed descent set {1}, whose only spike is 2, and
+    # the tally pass expects no pattern there.
+    monkeypatch.setattr(verify, "_peak_bits", lambda d: d & ~0b11)
     report = pp.check_marked_lemma(4)
     assert not report.passed
-    assert report.counterexample == {"sigma": (1, 2, 4, 3), "rho": (1, 2, 4, 3),
-                                     "peaks": [3], "rho_spikes": (3,)}
+    assert report.counterexample == {"sigma": (1, 4, 3, 2), "descent_set": [1],
+                                     "count": 4, "expected": 0}
 
 
 def test_failing_flip_table_report_is_json(monkeypatch):
     # A table missing a row fails the scan comparison; the report carries
-    # the rows, which its JSON form gives as plain dicts.
+    # the rows as permutations, which its JSON form gives as lists.
     from peakpoly import polynomials
     table = polynomials.flip_admission_table
 
@@ -73,14 +76,32 @@ def test_failing_flip_table_report_is_json(monkeypatch):
     data = json.loads(json.dumps(report.to_json_dict()))
     assert data["counterexample"]["k"] == 0
     rows = data["counterexample"]["scanned_rows"]
-    assert rows and all(set(row) == {"permutation", "admits"} for row in rows)
-    assert len(data["counterexample"]["table_rows"]) == len(rows) - 1
+    assert rows and all(sorted(row) == [1, 2, 3, 4, 5, 6] for row in rows)
+    assert data["counterexample"]["table_rows"] == rows[1:]
+
+
+def test_flip_table_flags_are_checked_through_the_pattern_counts(monkeypatch):
+    # The check reads the admission flags from the public table alone, so
+    # flags given in reversed spike order must fail the pattern counts.
+    from peakpoly import polynomials
+    table = polynomials.flip_admission_table
+
+    def reversed_flags(i_set, m):
+        t = table(i_set, m)
+        return polynomials.FlipTable(t.spikes, t.center, tuple(
+            tuple(polynomials.FlipTableRow(row.permutation, row.admits[::-1]) for row in block)
+            for block in t.blocks))
+
+    monkeypatch.setattr(polynomials, "flip_admission_table", reversed_flags)
+    report = pp.check_flip_table_partition((2, 4), 4)
+    assert report.counterexample == {"j": [2], "pattern_counts": (0, 3, 3, 1, 0),
+                                     "peak_coeffs": (2, 1, 0, 0, 0)}
 
 
 def test_mask_rules_match_the_per_tuple_statistics():
     # Every signed permutation of n <= 5 and every plain one of n <= 7:
     # its descents follow from its signs and the descents of its values,
-    # and its peaks and spikes from its descents.
+    # and its peaks from its descents.
     for n in range(1, 8):
         patterns = itertools.product((1, -1), repeat=n) if n <= 5 else [(1,) * n]
         for signs in patterns:
@@ -89,8 +110,7 @@ def test_mask_rules_match_the_per_tuple_statistics():
                 rho = tuple(s * v for s, v in zip(signs, p))
                 d = verify._signed_descent_bits(verify._mask(verify._naive_descents(p)), masks)
                 assert d == verify._mask(verify._naive_descents(rho)), (p, signs)
-                assert verify._peak_bits(d) == verify._mask(verify._naive_peaks(rho)), (p, signs)
-                assert verify._spike_bits(d, n) == verify._mask(verify._naive_spikes(rho)), (p, signs)
+                assert verify._peak_bits(d) == verify._mask(oracles.peaks(rho)), (p, signs)
 
 
 def test_sign_tally_is_the_per_tuple_tally():
@@ -188,6 +208,24 @@ def test_full_verify_scans_each_group_once(monkeypatch, cold_caches):
     assert (listings.misses, listings.hits) == (7, 8)
 
 
+def test_full_verify_reads_each_admission_flag_once(monkeypatch):
+    # 54 calls build the public tables (one per row and spike), 353 filter
+    # flip-bijection's domains and 49 come from psi_set mapping them; the
+    # flip-table check itself makes none.
+    from peakpoly import polynomials
+    admits = flips.admits_flip
+    calls = []
+
+    def counted(p, i):
+        calls.append(i)
+        return admits(p, i)
+
+    monkeypatch.setattr(flips, "admits_flip", counted)
+    monkeypatch.setattr(polynomials, "admits_flip", counted)
+    assert all(r.passed for r in cli._verification_reports(None, 8))
+    assert len(calls) == 456
+
+
 def test_full_verify_reports_at_max_n_8():
     reports = [(r.claim, r.params, r.passed, r.checked)
                for r in cli._verification_reports(None, 8)]
@@ -263,6 +301,9 @@ def test_spike_sum():
     report = pp.check_spike_sum((), range(1, 7))
     assert report.passed
     assert pp.check_spike_sum((2,), [9]).passed
+    report = pp.check_spike_sum((2,), [4, 3, 3, 4])
+    assert (report.passed, report.params, report.checked) == (
+        True, {"s": [2], "n_range": [3, 4]}, 2)
     with pytest.raises(ValueError, match="need max"):
         pp.check_spike_sum((2,), [4, 2])
     with pytest.raises(pp.CapExceeded, match="permutations of 11 takes 39916800 steps"):
