@@ -2,9 +2,9 @@
 
 For a fixed set S, the number d(S, n) of permutations of n whose
 descent set is exactly S is a polynomial in n. This script pins the
-class down by brute enumeration, by an inclusion-exclusion closed
-form, and by expanding d(S, n) in the binomial basis C(n-m, k), then
-checks that all three agree.
+class down by pruned enumeration, by the exact counting engine, and by
+expanding d(S, n) in the binomial basis C(n-m, k), then checks that
+all three agree.
 """
 from peakpoly import (
     DescentClassQuery,
@@ -26,7 +26,7 @@ def main():
         print(f"  {p}")
     print(f"  ... and {len(members) - 5} more")
 
-    # The closed form gives the same number without enumerating, and
+    # The counting engine gives the same number without enumerating, and
     # keeps working long after enumeration becomes unthinkable.
     for n in (5, 8, 20, 100):
         print(f"d({set(S)}, {n}) = {count_descent_class(S, n)}")

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import sys
 from typing import Any, NamedTuple, Sequence
 
@@ -28,6 +27,7 @@ from .core import (
     as_permutation,
     is_admissible,
     peak_set,
+    position_set,
     spike_set,
     spikes_of,
 )
@@ -63,12 +63,10 @@ def parse_positions(text: str) -> Positions:
     if cleaned in ("", "-"):
         return ()
     try:
-        values = tuple(int(part) for part in cleaned.split(","))
+        values = [int(part) for part in cleaned.split(",")]
     except ValueError:
         raise ValueError(f"cannot parse position set from {text!r}")
-    if any(v < 1 for v in values):
-        raise ValueError(f"positions must be >= 1, got {sorted(values)}")
-    return tuple(sorted(set(values)))
+    return position_set(values)
 
 
 def parse_permutation(text: str) -> Perm:
@@ -106,9 +104,11 @@ def _perm_str(p: Sequence[int]) -> str:
 def _emit(out: Output, fmt: str) -> int:
     """Print ``out`` to stdout in ``fmt`` and return its exit code."""
     if fmt == "json":
+        import json
         print(json.dumps(out.payload, indent=2, ensure_ascii=False))
     elif fmt == "csv":
         import csv
+        import json
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(out.header)
         # A dict cell (verify's params) is written as JSON.

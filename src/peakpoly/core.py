@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from typing import Iterable, Iterator, Sequence
 
 Perm = tuple[int, ...]
@@ -132,9 +133,10 @@ def as_signed_permutation(values: Iterable[int]) -> SignedPerm:
 def position_set(positions: Iterable[int], n: int | None = None) -> Positions:
     """Normalize a collection of positions to a strictly increasing tuple.
 
+    A member that is not an integer raises TypeError (bools count as 0 and 1).
     With ``n`` given, additionally require every position to lie in 1..n-1.
     """
-    s = tuple(sorted(set(positions)))
+    s = tuple(sorted(set(map(operator.index, positions))))
     if s and s[0] < 1:
         raise ValueError(f"positions must be positive, got {s[0]}")
     if n is not None and s and s[-1] >= n:

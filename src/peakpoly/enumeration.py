@@ -78,9 +78,9 @@ class PeakClassQuery(Record):
 
     def _allows(self, prefix: Perm, v: int) -> bool:
         """Whether appending ``v`` to ``prefix`` keeps the peak status it
-        decides, at j = len(prefix) once two entries precede ``v``, right."""
+        decides, at j = len(prefix), right; position 1 is never a peak."""
         j = len(prefix)
-        return j < 2 or (prefix[-2] < prefix[-1] > v) == (j in self.peaks)
+        return j < 1 or (j > 1 and prefix[-2] < prefix[-1] > v) == (j in self.peaks)
 
 
 Query = DescentClassQuery | PeakClassQuery

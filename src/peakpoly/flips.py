@@ -117,10 +117,9 @@ def psi_set(p: Sequence[int], positions: Iterable[int]) -> Perm:
 def canonical_descent_set(i_set: Iterable[int]) -> Positions:
     """The unique descent set whose spike set is ``i_set``, rightmost spike a valley.
 
-    Listing I = {i_1 < ... < i_k}, the member i_j is a peak exactly when
-    k-j is odd. The descent set is then the union of the ramp [1, i_1-1]
-    when i_1 is a valley and, for each peak i_j, the run [i_j, i_{j+1}-1]
-    down to the following valley.
+    Walk the positions from max(I)-1 down to 1, starting downhill into
+    the valley at max(I) and turning at each spike: the descents are the
+    positions walked downhill.
 
     >>> canonical_descent_set((2, 4))
     (2, 3)
@@ -130,15 +129,11 @@ def canonical_descent_set(i_set: Iterable[int]) -> Positions:
     spikes = position_set(i_set)
     if not is_admissible(spikes):
         raise ValueError(f"not an admissible peak set: {spikes}")
-    if not spikes:
-        return ()
-    k = len(spikes)
-    members: list[int] = []
-    if (k - 1) % 2 == 0:  # leftmost spike is a valley: descend into it from position 1
-        members.extend(range(1, spikes[0]))
-    for j, pos in enumerate(spikes, start=1):
-        if (k - j) % 2 == 1:  # peak: descend until the next spike, a valley
-            members.extend(range(pos, spikes[j]))
-    out = tuple(members)
-    assert spikes_of(out, spikes[-1] + 1) == spikes, "construction lost its spike set"
+    top, down, members = max(spikes, default=0), True, []
+    for pos in range(top - 1, 0, -1):
+        if down:
+            members.append(pos)
+        down ^= pos in spikes
+    out = tuple(reversed(members))
+    assert spikes_of(out, top + 1) == spikes, "construction lost its spike set"
     return out

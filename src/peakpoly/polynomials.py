@@ -38,7 +38,8 @@ from .flips import admits_flip, canonical_descent_set
 
 
 def binomial(a: int, k: int) -> int:
-    """C(a, k) for any integer a and k >= 0, via the negative-top identity.
+    """C(a, k) for any integer a and k >= 0; for a < 0 by the negative-top
+    identity C(a, k) = (-1)^k C(k-a-1, k).
 
     >>> binomial(4, 2), binomial(-1, 3), binomial(2, 5)
     (6, -1, 0)
@@ -46,16 +47,8 @@ def binomial(a: int, k: int) -> int:
     if k < 0:
         raise ValueError("k must be nonnegative")
     if a < 0:
-        sign = -1 if k % 2 else 1
-        a = k - a - 1
-    else:
-        sign = 1
-    if k > a:
-        return 0
-    out = 1
-    for t in range(1, k + 1):
-        out = out * (a - t + 1) // t
-    return sign * out
+        return (-1) ** k * math.comb(k - a - 1, k)
+    return math.comb(a, k)
 
 
 class BinomialPolynomial(Record):

@@ -180,6 +180,11 @@ def test_argument_errors_exit_2(capsys):
     assert run(["peak-poly", "2,3"]) == 2
     assert run(["count", "peak", "2,3", "6"]) == 2
     assert "not an admissible peak set" in capsys.readouterr().err
+    for peak_set in ("1", "2,3", "1,3"):
+        for argv in (["peak-poly", peak_set], ["count", "peak", peak_set, "6"],
+                     ["moebius", peak_set, "6"], ["table1", "--set", peak_set]):
+            assert run(argv) == 2
+            assert capsys.readouterr().err.startswith("error: not an admissible peak set: ")
     assert run(["count", "descent", "3", "2"]) == 2
     assert "needs n > 3" in capsys.readouterr().err
     assert run(["moebius", "2", "2"]) == 2
@@ -263,11 +268,12 @@ def test_module_invocation():
 def test_import_loads_neither_numpy_nor_a_process_pool():
     # Every CLI call pays for what `import peakpoly.cli` loads; no layer
     # needs numpy or a process pool for it. `dataclasses` would pull in
-    # `inspect`, `ast`, `dis` and `tokenize`; `csv` serves `--format csv` only.
+    # `inspect`, `ast`, `dis` and `tokenize`; `csv` serves `--format csv`
+    # only, and `json` the json and csv formats.
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, peakpoly.cli; print(sorted({'numpy', 'concurrent.futures.process', "
-         "'dataclasses', 'inspect', 'csv'} & set(sys.modules)))"],
+         "'dataclasses', 'inspect', 'csv', 'json'} & set(sys.modules)))"],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

@@ -177,6 +177,18 @@ def test_position_set_normalizes():
     with pytest.raises(ValueError):
         pp.position_set([5], n=5)
     assert pp.position_set([4], n=5) == (4,)
+    assert pp.position_set([True, 3]) == (1, 3)
+
+
+def test_non_integer_positions_raise_type_error():
+    # Sorted in, 2.5 would be a position that no comparison decides, and
+    # every count would be that of the set without it.
+    with pytest.raises(TypeError):
+        pp.position_set((2.5,))
+    with pytest.raises(TypeError):
+        pp.count_descent_class((2.5,), 5)
+    with pytest.raises(TypeError):
+        pp.descent_coeffs((2.5,), 3)
 
 
 def test_check_cost():

@@ -175,3 +175,13 @@ def test_parallel_count_validation():
     assert pp.parallel_count(pp.PeakClassQuery((2, 3), 6), 1) == 0
     with pytest.raises(TypeError, match="unsupported query type: tuple"):
         pp.parallel_count(((1,), 5))
+
+
+def test_non_admissible_peak_class_is_empty_at_once():
+    # Listing P({20,21},30) would take more than MAX_STEPS steps; with no
+    # member to list, both routes answer before pricing it.
+    query = pp.PeakClassQuery((20, 21), 30)
+    start = time.perf_counter()
+    assert list(pp.enumerate_peak_class(query)) == []
+    assert pp.parallel_count(query, 25) == 0
+    assert time.perf_counter() - start < 0.5

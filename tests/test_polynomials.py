@@ -21,6 +21,8 @@ def test_binomial():
     assert pp.binomial(-2, 2) == 3
     with pytest.raises(ValueError):
         pp.binomial(3, -1)
+    with pytest.raises(TypeError):
+        pp.binomial(2.5, 2)
 
 
 def test_polynomial_construction():
