@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import warnings
 from typing import Iterable, Iterator
 
@@ -34,7 +35,7 @@ from .enumeration import (
     peak_poly_value,
     scale_peak_count,
 )
-from .flips import admits_flip, canonical_descent_set
+from . import flips
 
 
 def binomial(a: int, k: int) -> int:
@@ -57,7 +58,7 @@ class BinomialPolynomial(Record):
     __slots__ = ("center", "coeffs")
 
     def __init__(self, center: int, coeffs: Iterable[int]):
-        coeffs = tuple(int(c) for c in coeffs)
+        center, coeffs = operator.index(center), tuple(map(operator.index, coeffs))
         if center < 0:
             raise ValueError("center must be nonnegative")
         if len(coeffs) != center + 1:
@@ -79,6 +80,7 @@ class BinomialPolynomial(Record):
         a division exact for any integer n. Below the center it extrapolates
         and warns.
         """
+        n = operator.index(n)
         if n < self.center:
             warnings.warn(
                 f"evaluating at n={n} below the basis center {self.center} "
@@ -100,6 +102,7 @@ class BinomialPolynomial(Record):
         basis cannot carry it. Each unit step is one pass of Pascal's rule:
         up, c_k becomes c_k + c_(k+1); down, c_k - c'_(k+1) from the top.
         """
+        new_center = operator.index(new_center)
         if new_center < 0:
             raise ValueError("center must be nonnegative")
         if new_center < self.degree:
@@ -297,10 +300,10 @@ def flip_admission_table(i_set: Iterable[int], m: int) -> FlipTable:
     order, all from one listing: 2^m·(m+h) steps, h = |D(S_I ∩ [1,m-1], m)|.
     """
     i_set = _at_center(i_set, m, peaks=True)
-    s = canonical_descent_set(i_set)
+    s = flips.canonical_descent_set(i_set)
     what = f"building the flip-admission table of D({list(s)},{2 * m})"
     return FlipTable(i_set, m, tuple(
-        tuple(FlipTableRow(sigma, tuple(admits_flip(sigma, i).admits for i in i_set))
+        tuple(FlipTableRow(sigma, tuple(flips.admits_flip(sigma, i).admits for i in i_set))
               for sigma in block)
         for block in _interval_blocks(s, m, range(m + 1), what)
     ))
@@ -341,7 +344,7 @@ def moebius_terms(i_set: Iterable[int], n: int) -> list[tuple[Positions, Positio
     for r in range(len(i_set) + 1):
         sign = -1 if (len(i_set) - r) % 2 else 1
         for subset in itertools.combinations(i_set, r):
-            s_j = canonical_descent_set(subset)
+            s_j = flips.canonical_descent_set(subset)
             terms.append((subset, s_j, sign, count_descent_class(s_j, n)))
     return terms
 

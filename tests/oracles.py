@@ -1,10 +1,13 @@
 """Slow filter-based reference implementations used as ground truth.
 
 Everything here scans full symmetric groups with straight-line value
-comparisons, sums closed forms, or runs a transfer matrix in the other
-direction from the package's, and shares no code with the package under
-test.
+comparisons, sums closed forms, runs a recursion from the literature, or
+runs a transfer matrix in the other direction from the package's (which
+also draws uniform class members), and shares no code with the package
+under test.
 """
+import bisect
+import functools
 import itertools
 import math
 
@@ -102,6 +105,31 @@ def chain_descent_count(s, n):
                for i, w in enumerate(chain_weights(s[1:])))
 
 
+def peak_recursion_count(i, n):
+    """|P(I,n)| by the recursion of Billey, Burdzy and Sagan (2013), memoized.
+
+    With m = max(I) and I- = I minus {m}, split a permutation after its
+    first m-1 entries: C(n, m-1) value sets, |P(I-,m-1)| heads and
+    2^(n-m) peakless tails give every peak set I- with m-1 or m or
+    neither added, so
+    |P(I,n)| = C(n,m-1) |P(I-,m-1)| 2^(n-m) - |P(I-,n)| - |P(I- u {m-1},n)|.
+    A non-admissible set counts 0, and so does I with max(I) >= n.
+    """
+    @functools.lru_cache(maxsize=None)
+    def count(i, n):
+        if (i and i[0] < 2) or any(b - a < 2 for a, b in zip(i, i[1:])):
+            return 0
+        if not i:
+            return 2 ** (n - 1) if n else 1
+        m, rest = i[-1], i[:-1]
+        if m >= n:
+            return 0
+        return (math.comb(n, m - 1) * count(rest, m - 1) * 2 ** (n - m)
+                - count(rest, n) - count(rest + (m - 1,), n))
+
+    return count(tuple(sorted(set(i))), n)
+
+
 def transfer_matrix_count(positions, n, peaks=False):
     """The number of permutations of n whose descent set (or peak set,
     with ``peaks``) is exactly ``positions``, by a backward transfer matrix.
@@ -129,6 +157,38 @@ def transfer_matrix_count(positions, n, peaks=False):
         else:
             rose, fell = rise(both), fall(fell) if peaks else [0] * (n - j)
     return rose[0] + fell[0]
+
+
+def sample_descent_class(s, n, rng):
+    """A uniformly random permutation of n with descent set exactly ``s``.
+
+    A backward pass counts the completions of each state, from the last
+    entry to the first, and keeps every layer: after k entries the state
+    is the rank of entry k among itself and the n-k unused values. The
+    forward draw then picks each next rank with probability proportional
+    to its completions, in exact integer arithmetic. O(n^2) per draw.
+    """
+    s = set(s)
+    layers = [[1]]  # completions after n entries, then n-1, ..., 1
+    for k in range(n - 1, 0, -1):
+        nxt = layers[-1]
+        if k in s:  # entry k+1 falls below entry k: ranks under r
+            layers.append([0, *itertools.accumulate(nxt)])
+        else:  # entry k+1 rises: ranks r and up among the n-k unused values
+            layers.append([*itertools.accumulate(reversed(nxt))][::-1] + [0])
+    layers.reverse()
+
+    def draw(weights):
+        cumulative = list(itertools.accumulate(weights))
+        return bisect.bisect(cumulative, rng.randrange(cumulative[-1]))
+
+    unused = list(range(1, n + 1))
+    rank = draw(layers[0])
+    out = [unused.pop(rank)]
+    for k in range(1, n):
+        rank = draw([w if (r < rank) == (k in s) else 0 for r, w in enumerate(layers[k])])
+        out.append(unused.pop(rank))
+    return tuple(out)
 
 
 def generalized_binomial(a, k):

@@ -277,23 +277,29 @@ def test_import_loads_neither_numpy_nor_a_process_pool():
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
-    # A count runs `enumeration` only: the code of the other layers never
-    # runs. Reading a module's __dict__ this way does not load it.
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys\n"
-         "from peakpoly import cli\n"
-         "code = cli.run(['count', 'descent', '2,3', '6'])\n"
-         "for layer, name in [('enumeration', 'count_descent_class'), ('flips', 'admits_flip'),\n"
-         "                    ('polynomials', 'peak_coeffs'), ('verify', 'check_marked_lemma')]:\n"
-         "    module = sys.modules['peakpoly.' + layer]\n"
-         "    print(layer, name in object.__getattribute__(module, '__dict__'))\n"
-         "print(code)"],
-        capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == [
-        "|D({2,3},6)| = 26", "enumeration True", "flips False", "polynomials False",
-        "verify False", "0"]
+    # A count runs `enumeration` only, and a descent polynomial adds
+    # `polynomials`: the code of the other layers never runs. Reading a
+    # module's __dict__ this way does not load it.
+    for argv, answer, polynomials in (
+            (['count', 'descent', '2,3', '6'], ["|D({2,3},6)| = 26"], False),
+            (['descent-poly', '2', '--center', '2'],
+             ["d({2},n): center 2, coefficients [0, 2, 1]",
+              "0 C(n-2,0) + 2 C(n-2,1) + 1 C(n-2,2)"], True)):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys\n"
+             "from peakpoly import cli\n"
+             f"code = cli.run({argv!r})\n"
+             "for layer, name in [('enumeration', 'count_descent_class'), ('flips', 'admits_flip'),\n"
+             "                    ('polynomials', 'peak_coeffs'), ('verify', 'check_marked_lemma')]:\n"
+             "    module = sys.modules['peakpoly.' + layer]\n"
+             "    print(layer, name in object.__getattribute__(module, '__dict__'))\n"
+             "print(code)"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            *answer, "enumeration True", "flips False", f"polynomials {polynomials}",
+            "verify False", "0"], argv
 
 
 def test_every_layer_is_registered_after_importing_the_cli():

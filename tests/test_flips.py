@@ -109,10 +109,13 @@ def test_psi_golden():
 
 
 def test_psi_removes_exactly_one_spike():
+    # When both flips are admitted, psi takes the one at i.
     for p in oracles.perms(7):
         for i in oracles.spikes(p):
-            if pp.admits_flip(p, i).admits:
+            admission = pp.admits_flip(p, i)
+            if admission.admits:
                 image = pp.psi(p, i)
+                assert image == pp.fl(p, i if admission.plus else i - 1)
                 assert oracles.spikes(image) == \
                     tuple(x for x in oracles.spikes(p) if x != i)
 

@@ -1,6 +1,8 @@
 """The package surface: its public names and the behaviour of its value classes."""
+import ast
 import copy
 import importlib
+import pathlib
 import pickle
 import re
 
@@ -118,3 +120,16 @@ def test_report_json_is_a_copy():
     assert report.counterexample == {"sigma": (2, 1), "seen": [1, 2]}
     assert pp.VerificationReport("c", {}, True).to_json_dict() == \
         {"claim": "c", "params": {}, "passed": True, "counterexample": None, "checked": 0}
+
+
+def test_no_check_rests_on_an_assert():
+    # `python -O` strips asserts and `if __debug__:` blocks, so a check
+    # written that way would vanish from optimized runs.
+    root = pathlib.Path(pp.__file__).parent
+    found = [
+        f"{path.relative_to(root)}:{node.lineno}"
+        for path in sorted(root.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert) or (isinstance(node, ast.Name) and node.id == "__debug__")
+    ]
+    assert found == []

@@ -36,6 +36,24 @@ def test_polynomial_construction():
         pp.BinomialPolynomial(-1, ())
 
 
+def test_polynomial_refuses_non_integers():
+    # Each of these was silently wrong: 1.9 truncated to 1, a float center
+    # made a float value, and C(2.5, 2) = 1.875 was read as C(2, 2) = 1.
+    with pytest.raises(TypeError):
+        pp.BinomialPolynomial(2, [1.9, 0, 0])
+    with pytest.raises(TypeError):
+        pp.BinomialPolynomial(2.0, [1, 2, 3])
+    poly = pp.BinomialPolynomial(2, [0, 0, 1])
+    with pytest.raises(TypeError):
+        poly.evaluate(4.5)
+    with pytest.raises(TypeError):
+        poly.recenter(3.0)
+    assert pp.BinomialPolynomial(True, [False, True]) == pp.BinomialPolynomial(1, (0, 1))
+    assert poly.evaluate(4) == 1 and type(poly.evaluate(4)) is int
+    assert pp.BinomialPolynomial.from_json_dict(
+        {"basis": "binomial", "center": "2", "coeffs": ["0", "0", "1"]}) == poly
+
+
 def test_polynomial_evaluation():
     poly = pp.BinomialPolynomial(4, (3, 8, 7, 2, 0))
     assert poly.evaluate(8) == 85

@@ -1,12 +1,16 @@
 """Property tests of the exact counting engine and the coefficients read
 off it, against independent routes: brute force, inclusion-exclusion and
-the backward transfer matrix of ``oracles``; and of the flip maps on
-random permutations.
+the backward transfer matrix and the peak recursion of ``oracles``; and
+of the flip maps on random permutations and on sampled class members.
 
 Sets and sizes are drawn at random; the examples are derandomized so
 the suite stays reproducible, and capped so it stays fast.
 """
+import collections
 import itertools
+import math
+import random
+import types
 from unittest import mock
 
 from hypothesis import given, settings, strategies as st
@@ -138,6 +142,40 @@ def test_chain_formula_fails_with_one_sign_flipped(monkeypatch):
         assert oracles.chain_descent_count(s, n) != count, j
 
 
+def _peak_recursion_mismatches(max_n):
+    """(I, n) where the peak recursion differs from a scan of S_n, n <= max_n,
+    over every admissible I and three sets that are not."""
+    mismatches = []
+    for n in range(max_n + 1):
+        counts = collections.Counter(oracles.peaks(p) for p in oracles.perms(n))
+        for i_set in [*oracles.admissible_sets(n), (1,), (2, 3), (1, 3)]:
+            if oracles.peak_recursion_count(i_set, n) != counts[i_set]:
+                mismatches.append((i_set, n))
+    return mismatches
+
+
+def test_peak_recursion_matches_brute_force():
+    assert _peak_recursion_mismatches(8) == []
+
+
+def test_peak_recursion_fails_with_the_shifted_binomial(monkeypatch):
+    # C(n-1, m-1) value sets for the head in place of C(n, m-1) leave out
+    # the heads holding n; at I = {2}, n = 3 it reads 0 instead of 2.
+    monkeypatch.setattr(oracles, "math", types.SimpleNamespace(
+        comb=lambda a, k: math.comb(a - 1, k)))
+    assert oracles.peak_recursion_count((2,), 3) == 0
+    assert ((2,), 3) in _peak_recursion_mismatches(4)
+
+
+@settings(PROPERTY, max_examples=20)
+@given(admissible_peak_sets(40), st.data())
+def test_peak_recursion_matches_the_engine_past_n_300(i_set, data):
+    n = data.draw(st.integers(300, 600), label="n")
+    count = oracles.peak_recursion_count(i_set, n)
+    assert count == pp.count_peak_class(i_set, n)
+    assert pp.peak_poly_value(i_set, n) * 2 ** (n - len(i_set) - 1) == count
+
+
 @PROPERTY
 @given(sets_and_sizes(min_n=1, max_n=31, max_size=10), st.data())
 def test_descent_coeffs_evaluate_to_inclusion_exclusion(case, data):
@@ -217,3 +255,49 @@ def test_flips_are_involutions_and_psi_removes_one_spike(p):
     for i in spikes:
         if pp.admits_flip(p, i).admits:
             assert oracles.spikes(pp.psi(p, i)) == tuple(x for x in spikes if x != i)
+
+
+def test_sampler_draws_every_class_member():
+    # 5200 draws from the 26 members of D({2,3},6): each about 200 times.
+    rng = random.Random(2024)
+    drawn = collections.Counter(oracles.sample_descent_class((2, 3), 6, rng)
+                                for _ in range(5200))
+    assert sorted(drawn) == sorted(oracles.descent_class((2, 3), 6))
+    assert len(drawn) == 26
+    assert 2 * min(drawn.values()) > max(drawn.values())
+
+
+@st.composite
+def dense_peak_sets(draw, top):
+    """An admissible peak set inside [2, top] with up to 100 gaps of 2 to 4:
+    in a random member of D(S_I,n) a spike seldom admits a flip unless its
+    neighbours are this close, and psi_set needs several that do."""
+    gaps = draw(st.lists(st.integers(2, 4), min_size=draw(st.integers(0, 100)), max_size=100))
+    return tuple(p for p in itertools.accumulate(gaps) if p <= top)
+
+
+@settings(PROPERTY, max_examples=30)
+@given(dense_peak_sets(299), st.data())
+def test_flip_laws_hold_on_sampled_class_members(i_set, data):
+    # Members of D(S_I,n) up to n = 300, far past the n! scans: flips are
+    # involutions, one removal leaves admission at the other spikes alone,
+    # and psi_set's right-to-left removals equal psi applied left to right.
+    s = pp.canonical_descent_set(i_set)
+    n = data.draw(st.integers(max(i_set, default=0) + 1, 300), label="n")
+    seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
+    sigma = oracles.sample_descent_class(s, n, random.Random(seed))
+    assert oracles.descents(sigma) == s
+    assert oracles.spikes(sigma) == i_set
+    for i in {*i_set, data.draw(st.integers(1, n), label="i")}:
+        assert pp.fl(pp.fl(sigma, i), i) == sigma
+    admitted = tuple(j for j in i_set if pp.admits_flip(sigma, j).admits)
+    if admitted:
+        j = data.draw(st.sampled_from(admitted), label="j")
+        image = pp.psi(sigma, j)
+        for i in i_set:
+            if abs(i - j) >= 2:
+                assert pp.admits_flip(image, i) == pp.admits_flip(sigma, i), (i, j)
+    left_to_right = sigma
+    for j in admitted:
+        left_to_right = pp.psi(left_to_right, j)
+    assert pp.psi_set(sigma, admitted) == left_to_right

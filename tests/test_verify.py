@@ -209,10 +209,9 @@ def test_full_verify_scans_each_group_once(monkeypatch, cold_caches):
 
 
 def test_full_verify_reads_each_admission_flag_once(monkeypatch):
-    # 54 calls build the public tables (one per row and spike), 353 filter
-    # flip-bijection's domains and 49 come from psi_set mapping them; the
-    # flip-table check itself makes none.
-    from peakpoly import polynomials
+    # 54 calls from polynomials build the public tables (one per row and
+    # spike) and 353 from verify filter flip-bijection's domains; psi_set
+    # maps them without asking, and the flip-table check itself makes none.
     admits = flips.admits_flip
     calls = []
 
@@ -221,9 +220,8 @@ def test_full_verify_reads_each_admission_flag_once(monkeypatch):
         return admits(p, i)
 
     monkeypatch.setattr(flips, "admits_flip", counted)
-    monkeypatch.setattr(polynomials, "admits_flip", counted)
     assert all(r.passed for r in cli._verification_reports(None, 8))
-    assert len(calls) == 456
+    assert len(calls) == 407
 
 
 def test_full_verify_reports_at_max_n_8():
