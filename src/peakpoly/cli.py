@@ -28,7 +28,6 @@ from .core import (
     is_admissible,
     peak_set,
     position_set,
-    spike_set,
     spikes_of,
 )
 
@@ -212,26 +211,22 @@ def _cmd_moebius(args: argparse.Namespace) -> Output:
 
 def _cmd_flips(args: argparse.Namespace) -> Output:
     p = parse_permutation(args.permutation)
-    profile = flips.flip_profile(p)
+    removals = flips._spike_removals(p)
     peaks = set(peak_set(p))
-    entries = []
-    text = [f"{_perm_str(p)}: spikes {_set_str(spike_set(p))}"]
-    for i in sorted(profile):
-        admission = profile[i]
+    entries, text = [], [f"{_perm_str(p)}: spikes {_set_str(tuple(removals))}"]
+    for i, (plus, minus) in removals.items():
         kind = "peak" if i in peaks else "valley"
-        entry: dict[str, Any] = {
-            "position": i, "kind": kind,
-            "plus": admission.plus, "minus": admission.minus, "admits": admission.admits,
-        }
-        if admission.admits:
-            image = flips.psi(p, i)
+        image = plus or minus
+        entry: dict[str, Any] = {"position": i, "kind": kind, "plus": plus is not None,
+                                 "minus": minus is not None, "admits": image is not None}
+        if image is not None:
             entry["image"] = list(image)
-            which = f"{i}+" if admission.plus else f"{i}-"
+            which = f"{i}+" if plus else f"{i}-"
             text.append(f"  spike {i} ({kind}): admits {which} -> {_perm_str(image)}")
         else:
             text.append(f"  spike {i} ({kind}): no flip")
         entries.append(entry)
-    payload = {"permutation": list(p), "spikes": list(spike_set(p)), "profile": entries}
+    payload = {"permutation": list(p), "spikes": list(removals), "profile": entries}
     return Output(payload, ("position", "kind", "plus", "minus", "admits"),
                   [(e["position"], e["kind"], int(e["plus"]), int(e["minus"]),
                     int(e["admits"])) for e in entries],

@@ -13,6 +13,7 @@ from .core import (
     Perm,
     Positions,
     Record,
+    check_cost,
     is_admissible,
     position_set,
     spike_set,
@@ -53,14 +54,20 @@ class FlipAdmission(Record):
         return self.plus or self.minus
 
 
-def _removals(p: Sequence[int], i: int) -> tuple[Perm | None, Perm | None]:
+def _removals(p: Sequence[int], i: int, spikes: Positions) -> tuple[Perm | None, Perm | None]:
     """The flips of ``p`` at i and at i-1, each kept (else None) only if it
-    leaves every spike except i in place. Requires i to be a spike of ``p``."""
-    spikes = spike_set(p)
+    leaves every spike except i in place. ``spikes`` is ``spike_set(p)`` and holds i."""
     if i not in spikes:
         raise ValueError(f"position {i} is not a spike of {p}")
     target = tuple(s for s in spikes if s != i)
     return tuple(q if spike_set(q) == target else None for q in (fl(p, i), fl(p, i - 1)))
+
+
+def _spike_removals(p: Sequence[int]) -> dict[int, tuple[Perm | None, Perm | None]]:
+    """``_removals`` at every spike of ``p``, keyed by position: 2·n steps per spike."""
+    spikes = spike_set(p)
+    check_cost(2 * len(p) * len(spikes), f"building the flips of a permutation of {len(p)}")
+    return {i: _removals(p, i, spikes) for i in spikes}
 
 
 def admits_flip(p: Sequence[int], i: int) -> FlipAdmission:
@@ -70,13 +77,14 @@ def admits_flip(p: Sequence[int], i: int) -> FlipAdmission:
     except i in place; the minus flip likewise for flipping at i-1.
     Requires i to be a spike of ``p``.
     """
-    plus, minus = _removals(p, i)
-    return FlipAdmission(plus is not None, minus is not None)
+    return FlipAdmission(*(q is not None for q in _removals(p, i, spike_set(p))))
 
 
 def flip_profile(p: Sequence[int]) -> dict[int, FlipAdmission]:
-    """Admission records for every spike of ``p``, keyed by position."""
-    return {i: admits_flip(p, i) for i in spike_set(p)}
+    """Admission records for every spike of ``p``, keyed by position. Each
+    spike costs 2·n steps, the entries of its two flips; CapExceeded past MAX_STEPS."""
+    return {i: FlipAdmission(*(q is not None for q in pair))
+            for i, pair in _spike_removals(p).items()}
 
 
 def psi(p: Sequence[int], i: int) -> Perm:
@@ -85,7 +93,7 @@ def psi(p: Sequence[int], i: int) -> Perm:
     The result has spike set equal to that of ``p`` minus {i}. Raises
     if neither flip is admitted.
     """
-    plus, minus = _removals(p, i)
+    plus, minus = _removals(p, i, spike_set(p))
     image = plus or minus
     if image is None:
         raise ValueError(f"{tuple(p)} admits no {i}-flip")

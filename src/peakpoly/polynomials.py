@@ -303,7 +303,7 @@ def flip_admission_table(i_set: Iterable[int], m: int) -> FlipTable:
     s = flips.canonical_descent_set(i_set)
     what = f"building the flip-admission table of D({list(s)},{2 * m})"
     return FlipTable(i_set, m, tuple(
-        tuple(FlipTableRow(sigma, tuple(flips.admits_flip(sigma, i).admits for i in i_set))
+        tuple(FlipTableRow(sigma, tuple(a.admits for a in flips.flip_profile(sigma).values()))
               for sigma in block)
         for block in _interval_blocks(s, m, range(m + 1), what)
     ))

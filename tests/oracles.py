@@ -52,6 +52,11 @@ def perms(n):
     return itertools.permutations(range(1, n + 1))
 
 
+def alternating(n):
+    """2,1,4,3,...,n,n-1 for even n: a spike at every position 2..n-1."""
+    return tuple(v for k in range(1, n, 2) for v in (k + 1, k))
+
+
 def descent_class(s, n):
     target = tuple(sorted(s))
     return [p for p in perms(n) if descents(p) == target]

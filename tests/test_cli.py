@@ -5,7 +5,9 @@ import time
 
 import pytest
 
+import oracles
 import peakpoly as pp
+from peakpoly import flips
 from peakpoly.cli import CLAIMS, parse_permutation, parse_positions, run
 
 
@@ -136,6 +138,22 @@ def test_flips_json(capsys):
     assert by_pos[4]["image"] == [3, 1, 2, 4, 5, 6, 7, 8]
 
 
+def test_flips_and_table1_build_each_flip_once(capsys, monkeypatch):
+    # 34215678 has spikes 2 and 4, and their four flips give every answer.
+    # Neither route asks admits_flip or psi.
+    def forbidden(*args):
+        raise AssertionError("a second route to the kept flips")
+
+    fl, built = flips.fl, []
+    monkeypatch.setattr(flips, "fl", lambda p, i: built.append(i) or fl(p, i))
+    monkeypatch.setattr(flips, "admits_flip", forbidden)
+    monkeypatch.setattr(flips, "psi", forbidden)
+    assert run(["flips", "3,4,2,1,5,6,7,8"]) == 0
+    assert "spike 2 (peak): admits 2+ -> 43215678" in out_of(capsys)
+    assert sorted(built) == [1, 2, 3, 4]
+    assert run(["table1", "--set", "2,4", "--center", "5"]) == 0
+
+
 def test_table1_text(capsys):
     assert run(["table1"]) == 0
     out = out_of(capsys)
@@ -215,16 +233,20 @@ def test_env_cap_is_ignored(capsys, monkeypatch):
 
 def test_step_limit_refuses_at_once(capsys):
     odd = ",".join(map(str, range(1, 30, 2)))
+    # flips takes 2·n steps per spike: 2·1584·1582 = 5011776 is over the limit.
     for argv in (["table1", "--set", "2,4", "--center", "14"],
                  ["count", "descent", "2,3,7", "100000"],
                  ["moebius", ",".join(map(str, range(2, 41, 2))), "50"],
-                 ["expand", odd, "40"]):
+                 ["expand", odd, "40"],
+                 ["flips", ",".join(map(str, oracles.alternating(1584)))]):
         start = time.perf_counter()
         assert run(argv) == 2
         assert time.perf_counter() - start < 1.0
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.endswith(f"steps, over the limit of {pp.MAX_STEPS}\n")
+    with pytest.raises(pp.CapExceeded):
+        pp.flip_profile(oracles.alternating(1584))
     # Each was over the old cap of 12 on 2m or on the center.
     assert run(["peak-poly", "2,4", "--center", "7"]) == 0
     assert run(["descent-poly", "1,5,40"]) == 0
@@ -247,7 +269,7 @@ def test_counts_are_exact_past_the_cap(capsys):
 
 
 def test_table1_center_6_lists_the_class_without_a_scan(capsys):
-    # Under the default cap; a scan of all 12! permutations would take minutes.
+    # Under the step limit; a scan of all 12! permutations would take minutes.
     start = time.perf_counter()
     assert run(["table1", "--set", "3,6", "--center", "6", "--format", "json"]) == 0
     assert time.perf_counter() - start < 1.0

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 import peakpoly as pp
+from peakpoly import flips
 
 import oracles
 
@@ -99,6 +100,34 @@ def test_admits_flip_definition_exhaustive():
 def test_flip_profile_covers_exactly_the_spikes():
     for p in oracles.perms(5):
         assert tuple(sorted(pp.flip_profile(p))) == oracles.spikes(p)
+
+
+def test_flip_profile_price_is_the_entries_it_builds(monkeypatch, rng):
+    # 2·n steps per spike: the two flips built there, n entries each.
+    fl, built = flips.fl, []
+
+    def counted(p, i):
+        q = fl(p, i)
+        built.append(len(q))
+        return q
+
+    monkeypatch.setattr(flips, "fl", counted)
+    samples = list(oracles.perms(6))
+    samples += [tuple(rng.sample(range(1, n + 1), n)) for n in range(7, 41) for _ in range(5)]
+    for p in samples:
+        built.clear()
+        pp.flip_profile(p)
+        assert sum(built) == 2 * len(p) * len(oracles.spikes(p)), p
+
+
+def test_flip_profile_is_priced_before_any_flip(monkeypatch):
+    # 2·n steps per spike, checked before the first flip is built: with the
+    # flips stubbed out, the price alone admits 1582 entries (4999120 steps)
+    # and refuses 1584 (5011776).
+    monkeypatch.setattr(flips, "_removals", lambda p, i, spikes: (None, None))
+    assert len(pp.flip_profile(oracles.alternating(1582))) == 1580
+    with pytest.raises(pp.CapExceeded, match="5011776 steps"):
+        pp.flip_profile(oracles.alternating(1584))
 
 
 def test_psi_golden():

@@ -256,7 +256,7 @@ def test_peak_poly_via_moebius():
 
 def test_moebius_route_extends_beyond_the_cap():
     # The signed descent-count sum works for any n; the basis expansion
-    # computed at small boards must agree far beyond the enumeration cap.
+    # computed at small boards must agree far past any board a listing reaches.
     for i_set in ((2,), (4,), (2, 4), (3, 5)):
         poly = pp.peak_coeffs(i_set, max(i_set))
         for n in (20, 50, 137):

@@ -16,7 +16,7 @@ from unittest import mock
 from hypothesis import given, settings, strategies as st
 
 import peakpoly as pp
-from peakpoly import enumeration
+from peakpoly import enumeration, flips
 
 import oracles
 
@@ -280,8 +280,9 @@ def dense_peak_sets(draw, top):
 @given(dense_peak_sets(299), st.data())
 def test_flip_laws_hold_on_sampled_class_members(i_set, data):
     # Members of D(S_I,n) up to n = 300, far past the n! scans: flips are
-    # involutions, one removal leaves admission at the other spikes alone,
-    # and psi_set's right-to-left removals equal psi applied left to right.
+    # involutions, the profile agrees with admits_flip, one removal leaves
+    # admission at the other spikes alone, psi_set's right-to-left removals
+    # equal psi applied left to right, and they keep the initial-set rule.
     s = pp.canonical_descent_set(i_set)
     n = data.draw(st.integers(max(i_set, default=0) + 1, 300), label="n")
     seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
@@ -290,14 +291,87 @@ def test_flip_laws_hold_on_sampled_class_members(i_set, data):
     assert oracles.spikes(sigma) == i_set
     for i in {*i_set, data.draw(st.integers(1, n), label="i")}:
         assert pp.fl(pp.fl(sigma, i), i) == sigma
-    admitted = tuple(j for j in i_set if pp.admits_flip(sigma, j).admits)
+    profile = pp.flip_profile(sigma)
+    assert all(profile[i] == pp.admits_flip(sigma, i) for i in i_set)
+    admitted = tuple(j for j in i_set if profile[j].admits)
     if admitted:
         j = data.draw(st.sampled_from(admitted), label="j")
         image = pp.psi(sigma, j)
         for i in i_set:
             if abs(i - j) >= 2:
-                assert pp.admits_flip(image, i) == pp.admits_flip(sigma, i), (i, j)
+                assert pp.admits_flip(image, i) == profile[i], (i, j)
     left_to_right = sigma
     for j in admitted:
         left_to_right = pp.psi(left_to_right, j)
     assert pp.psi_set(sigma, admitted) == left_to_right
+    m = max(i_set, default=0)
+    if m and 2 * m <= n:
+        assert pp.initial_overlap_k(left_to_right, m) == pp.initial_overlap_k(sigma, m)
+
+
+def preimage_under_psi(tau, i_set, j_sub):
+    """Put the spikes of J back into tau one at a time. fl is an involution,
+    so a preimage under psi at j is fl_j or fl_{j-1} of the current
+    permutation; fails unless exactly one of the two lies in the class of
+    the spikes kept so far, admits a flip at j and maps back."""
+    sigma, kept = tau, tuple(x for x in i_set if x not in j_sub)
+    for j in j_sub:
+        kept = tuple(sorted((*kept, j)))
+        s = pp.canonical_descent_set(kept)
+        found = [q for q in {pp.fl(sigma, j), pp.fl(sigma, j - 1)}
+                 if oracles.descents(q) == s and pp.admits_flip(q, j).admits
+                 and pp.psi(q, j) == sigma]
+        assert len(found) == 1, (kept, j, sigma)
+        sigma, = found
+    return sigma
+
+
+def sampled_target(i_set, j_sub, n, seed):
+    rest = tuple(x for x in i_set if x not in j_sub)
+    return oracles.sample_descent_class(pp.canonical_descent_set(rest), n, random.Random(seed))
+
+
+@settings(PROPERTY, max_examples=30)
+@given(dense_peak_sets(149).filter(bool), st.data())
+def test_psi_is_one_to_one_and_onto_at_sampled_targets(i_set, data):
+    # The bijection behind the expansion from its target side, up to
+    # n = 300: every tau in D(S_{I-J},n) has exactly one preimage in the
+    # J-flippable part of D(S_I,n), which keeps the initial-set rule.
+    n = data.draw(st.integers(max(i_set) + 1, 300), label="n")
+    j_sub = data.draw(st.lists(st.sampled_from(i_set), min_size=1, max_size=4, unique=True),
+                      label="J")
+    tau = sampled_target(i_set, j_sub, n, data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    sigma = preimage_under_psi(tau, i_set, j_sub)
+    assert oracles.spikes(sigma) == i_set
+    assert all(pp.admits_flip(sigma, j).admits for j in j_sub)
+    assert pp.psi_set(sigma, j_sub) == tau
+    m = max(i_set)
+    if 2 * m <= n:
+        assert pp.initial_overlap_k(sigma, m) == pp.initial_overlap_k(tau, m)
+
+
+def test_one_preimage_rule_catches_a_psi_without_the_minus_flip():
+    # Negative control: a _removals that never keeps the flip at i-1 makes
+    # psi miss part of D(S_{I-J},n), and the rule above must notice.
+    removals = flips._removals
+
+    def plus_only(p, i, spikes):
+        return removals(p, i, spikes)[0], None
+
+    rng = random.Random(26)
+    cases = []
+    for _ in range(10):
+        i_set = tuple(range(2, 2 * rng.randint(3, 40), 2))
+        n = rng.randint(max(i_set) + 1, 150)
+        j_sub = rng.sample(i_set, 2)
+        cases.append((i_set, j_sub, sampled_target(i_set, j_sub, n, rng.randrange(2 ** 32))))
+    for i_set, j_sub, tau in cases:
+        preimage_under_psi(tau, i_set, j_sub)
+    caught = 0
+    with mock.patch.object(flips, "_removals", plus_only):
+        for i_set, j_sub, tau in cases:
+            try:
+                preimage_under_psi(tau, i_set, j_sub)
+            except AssertionError:
+                caught += 1
+    assert caught

@@ -209,19 +209,26 @@ def test_full_verify_scans_each_group_once(monkeypatch, cold_caches):
 
 
 def test_full_verify_reads_each_admission_flag_once(monkeypatch):
-    # 54 calls from polynomials build the public tables (one per row and
-    # spike) and 353 from verify filter flip-bijection's domains; psi_set
-    # maps them without asking, and the flip-table check itself makes none.
-    admits = flips.admits_flip
-    calls = []
+    # All 353 admits_flip calls come from verify, which filters
+    # flip-bijection's domains; psi_set maps them without asking, and the
+    # flip tables read one flip_profile per row. Every flip any of them
+    # builds comes from one of the 454 _removals calls.
+    admits, removals = flips.admits_flip, flips._removals
+    calls, built = [], []
 
     def counted(p, i):
         calls.append(i)
         return admits(p, i)
 
+    def counted_removals(p, i, spikes):
+        built.append(i)
+        return removals(p, i, spikes)
+
     monkeypatch.setattr(flips, "admits_flip", counted)
+    monkeypatch.setattr(flips, "_removals", counted_removals)
     assert all(r.passed for r in cli._verification_reports(None, 8))
-    assert len(calls) == 407
+    assert len(calls) == 353
+    assert len(built) == 454
 
 
 def test_full_verify_reports_at_max_n_8():
