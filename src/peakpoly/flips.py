@@ -54,20 +54,22 @@ class FlipAdmission(Record):
         return self.plus or self.minus
 
 
-def _removals(p: Sequence[int], i: int, spikes: Positions) -> tuple[Perm | None, Perm | None]:
-    """The flips of ``p`` at i and at i-1, each kept (else None) only if it
-    leaves every spike except i in place. ``spikes`` is ``spike_set(p)`` and holds i."""
-    if i not in spikes:
+def _removals(p: Sequence[int], i: int) -> tuple[Perm | None, Perm | None]:
+    """The flips of ``p`` at i and at i-1, each kept (else None) only if it removes
+    the spike at i and no other. A flip turns every step below it, so the flip at i
+    must keep the step at i, and the flip at i-1 must turn the step at i-1."""
+    if not (1 < i < len(p) and (p[i - 2] < p[i - 1]) != (p[i - 1] < p[i])):
         raise ValueError(f"position {i} is not a spike of {p}")
-    target = tuple(s for s in spikes if s != i)
-    return tuple(q if spike_set(q) == target else None for q in (fl(p, i), fl(p, i - 1)))
+    plus, minus = fl(p, i), fl(p, i - 1)
+    return (plus if (plus[i - 1] > p[i]) == (p[i - 1] > p[i]) else None,
+            minus if (minus[i - 2] > p[i - 1]) != (p[i - 2] > p[i - 1]) else None)
 
 
 def _spike_removals(p: Sequence[int]) -> dict[int, tuple[Perm | None, Perm | None]]:
     """``_removals`` at every spike of ``p``, keyed by position: 2·n steps per spike."""
     spikes = spike_set(p)
     check_cost(2 * len(p) * len(spikes), f"building the flips of a permutation of {len(p)}")
-    return {i: _removals(p, i, spikes) for i in spikes}
+    return {i: _removals(p, i) for i in spikes}
 
 
 def admits_flip(p: Sequence[int], i: int) -> FlipAdmission:
@@ -77,7 +79,7 @@ def admits_flip(p: Sequence[int], i: int) -> FlipAdmission:
     except i in place; the minus flip likewise for flipping at i-1.
     Requires i to be a spike of ``p``.
     """
-    return FlipAdmission(*(q is not None for q in _removals(p, i, spike_set(p))))
+    return FlipAdmission(*(q is not None for q in _removals(p, i)))
 
 
 def flip_profile(p: Sequence[int]) -> dict[int, FlipAdmission]:
@@ -93,7 +95,7 @@ def psi(p: Sequence[int], i: int) -> Perm:
     The result has spike set equal to that of ``p`` minus {i}. Raises
     if neither flip is admitted.
     """
-    plus, minus = _removals(p, i, spike_set(p))
+    plus, minus = _removals(p, i)
     image = plus or minus
     if image is None:
         raise ValueError(f"{tuple(p)} admits no {i}-flip")

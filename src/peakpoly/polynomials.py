@@ -127,24 +127,12 @@ class BinomialPolynomial(Record):
             "coeffs": [str(c) for c in self.coeffs],
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> BinomialPolynomial:
-        if data.get("basis") != "binomial":
-            raise ValueError(f"unsupported basis: {data.get('basis')!r}")
-        return cls(int(data["center"]), tuple(int(c) for c in data["coeffs"]))
-
     def csv_rows(self) -> list[tuple[int, int]]:
         return [(k, c) for k, c in enumerate(self.coeffs)]
 
-    def pretty(self, variable: str = "n") -> str:
-        x = f"{variable}-{self.center}" if self.center else variable
+    def pretty(self) -> str:
+        x = f"n-{self.center}" if self.center else "n"
         return " + ".join(f"{c} C({x},{k})" for k, c in enumerate(self.coeffs))
-
-    def latex(self, variable: str = "n") -> str:
-        x = f"{variable}-{self.center}" if self.center else variable
-        return "+".join(
-            f"{c}{{{x} \\choose {k}}}" for k, c in enumerate(self.coeffs)
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -267,9 +255,6 @@ class FlipTable(Record):
     def __init__(self, spikes: Positions, center: int,
                  blocks: tuple[tuple[FlipTableRow, ...], ...]):
         self._set(spikes, center, blocks)
-
-    def no_flip_counts(self) -> tuple[int, ...]:
-        return self.pattern_counts(())
 
     def pattern_counts(self, admitted: Iterable[int]) -> tuple[int, ...]:
         """Per-k counts of rows admitting flips at exactly ``admitted``."""

@@ -224,7 +224,7 @@ def test_argument_errors_exit_2(capsys):
 
 
 def test_env_cap_is_ignored(capsys, monkeypatch):
-    # table1 --center 5 lists D(S,10): 2m = 10 was over a cap of 8.
+    # table1 --center 5 lists D(S,10), so a cap of 8 on 2m would refuse it.
     monkeypatch.setenv("PEAKPOLY_CAP", "8")
     assert run(["table1", "--set", "2,4", "--center", "5"]) == 0
     monkeypatch.setenv("PEAKPOLY_CAP", "junk")
@@ -247,7 +247,7 @@ def test_step_limit_refuses_at_once(capsys):
         assert captured.err.endswith(f"steps, over the limit of {pp.MAX_STEPS}\n")
     with pytest.raises(pp.CapExceeded):
         pp.flip_profile(oracles.alternating(1584))
-    # Each was over the old cap of 12 on 2m or on the center.
+    # 2m = 14 and a center of 41 are well inside the step limit.
     assert run(["peak-poly", "2,4", "--center", "7"]) == 0
     assert run(["descent-poly", "1,5,40"]) == 0
 

@@ -149,7 +149,7 @@ def test_markings_golden_n2():
 
 
 def test_markings_cap():
-    # 2^24 markings pass the step limit; 2^13 were over the old n-cap of 12.
+    # 2^24 markings go over the step limit; 2^13 stay inside it.
     start = time.perf_counter()
     with pytest.raises(pp.CapExceeded, match="takes 16777216 steps"):
         next(pp.markings(tuple(range(1, 25))))

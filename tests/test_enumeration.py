@@ -58,8 +58,8 @@ def test_query_validation():
 
 
 def test_enumeration_cap():
-    # Listing D(∅,n) visits 2^n prefixes, so n = 30 passes the step limit;
-    # n = 16 and 13 were over the old n-cap of 12.
+    # Listing D(∅,n) visits 2^n prefixes, so n = 30 goes over the step limit
+    # and n = 16 and 13 stay inside it.
     refused = (
         lambda: pp.enumerate_descent_class(pp.DescentClassQuery((), 30)),
         lambda: pp.enumerate_peak_class(pp.PeakClassQuery((3, 6, 9), 12)),

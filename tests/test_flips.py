@@ -84,17 +84,53 @@ def test_admits_flip_requires_a_spike():
         pp.admits_flip((1, 2, 3, 4), 2)
 
 
-def test_admits_flip_definition_exhaustive():
-    # Cross-check the predicate against its defining spike-set computations.
-    for p in oracles.perms(6):
-        spikes = set(oracles.spikes(p))
+def definition_mismatches(n):
+    """The (p, i) of S_n where admits_flip differs from its definition: a
+    flip is admitted iff the spike set it leaves is p's without i."""
+    for p in oracles.perms(n):
+        spikes = oracles.spikes(p)
         for i in spikes:
+            rest = tuple(s for s in spikes if s != i)
+            want_plus = oracles.spikes(pp.fl(p, i)) == rest
+            want_minus = oracles.spikes(pp.fl(p, i - 1)) == rest
             admission = pp.admits_flip(p, i)
-            want_plus = oracles.spikes(pp.fl(p, i)) == tuple(sorted(spikes - {i}))
-            want_minus = oracles.spikes(pp.fl(p, i - 1)) == tuple(sorted(spikes - {i}))
-            assert admission.plus == want_plus
-            assert admission.minus == want_minus
-            assert admission.admits == (want_plus or want_minus)
+            if (admission.plus, admission.minus, admission.admits) != \
+                    (want_plus, want_minus, want_plus or want_minus):
+                yield p, i
+
+
+def test_admits_flip_definition_exhaustive():
+    # The one-step rule against the whole spike sets of both flips.
+    for n in range(4, 8):
+        assert next(definition_mismatches(n), None) is None
+
+
+def test_admits_flip_definition_catches_swapped_step_rules(monkeypatch):
+    # Negative control: a _removals that keeps the flip at i when it turns
+    # the step at i, and the flip at i-1 when it keeps the step at i-1.
+    def swapped(p, i):
+        plus, minus = pp.fl(p, i), pp.fl(p, i - 1)
+        return (plus if (plus[i - 1] > p[i]) != (p[i - 1] > p[i]) else None,
+                minus if (minus[i - 2] > p[i - 1]) == (p[i - 2] > p[i - 1]) else None)
+
+    monkeypatch.setattr(flips, "_removals", swapped)
+    for n in range(4, 8):
+        assert next(definition_mismatches(n), None) is not None
+
+
+def test_admission_walks_the_spikes_once_per_profile(monkeypatch):
+    # admits_flip and psi test only the spike they are asked about;
+    # flip_profile walks the spike set once.
+    spike_set, walks = flips.spike_set, []
+    monkeypatch.setattr(flips, "spike_set", lambda p: walks.append(p) or spike_set(p))
+    for p in oracles.perms(6):
+        for i in oracles.spikes(p):
+            if pp.admits_flip(p, i).admits:
+                pp.psi(p, i)
+        assert walks == []
+        pp.flip_profile(p)
+        assert walks == [p]
+        walks.clear()
 
 
 def test_flip_profile_covers_exactly_the_spikes():
@@ -124,7 +160,7 @@ def test_flip_profile_is_priced_before_any_flip(monkeypatch):
     # 2·n steps per spike, checked before the first flip is built: with the
     # flips stubbed out, the price alone admits 1582 entries (4999120 steps)
     # and refuses 1584 (5011776).
-    monkeypatch.setattr(flips, "_removals", lambda p, i, spikes: (None, None))
+    monkeypatch.setattr(flips, "_removals", lambda p, i: (None, None))
     assert len(pp.flip_profile(oracles.alternating(1582))) == 1580
     with pytest.raises(pp.CapExceeded, match="5011776 steps"):
         pp.flip_profile(oracles.alternating(1584))

@@ -280,9 +280,10 @@ def dense_peak_sets(draw, top):
 @given(dense_peak_sets(299), st.data())
 def test_flip_laws_hold_on_sampled_class_members(i_set, data):
     # Members of D(S_I,n) up to n = 300, far past the n! scans: flips are
-    # involutions, the profile agrees with admits_flip, one removal leaves
-    # admission at the other spikes alone, psi_set's right-to-left removals
-    # equal psi applied left to right, and they keep the initial-set rule.
+    # involutions, the profile agrees with admits_flip and with the spike
+    # sets of both flips, one removal leaves admission at the other spikes
+    # alone, psi_set's right-to-left removals equal psi applied left to
+    # right, and they keep the initial-set rule.
     s = pp.canonical_descent_set(i_set)
     n = data.draw(st.integers(max(i_set, default=0) + 1, 300), label="n")
     seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
@@ -293,6 +294,10 @@ def test_flip_laws_hold_on_sampled_class_members(i_set, data):
         assert pp.fl(pp.fl(sigma, i), i) == sigma
     profile = pp.flip_profile(sigma)
     assert all(profile[i] == pp.admits_flip(sigma, i) for i in i_set)
+    for i, admission in profile.items():
+        rest = tuple(x for x in i_set if x != i)
+        assert admission == pp.FlipAdmission(oracles.spikes(pp.fl(sigma, i)) == rest,
+                                              oracles.spikes(pp.fl(sigma, i - 1)) == rest), i
     admitted = tuple(j for j in i_set if profile[j].admits)
     if admitted:
         j = data.draw(st.sampled_from(admitted), label="j")
@@ -355,8 +360,8 @@ def test_one_preimage_rule_catches_a_psi_without_the_minus_flip():
     # psi miss part of D(S_{I-J},n), and the rule above must notice.
     removals = flips._removals
 
-    def plus_only(p, i, spikes):
-        return removals(p, i, spikes)[0], None
+    def plus_only(p, i):
+        return removals(p, i)[0], None
 
     rng = random.Random(26)
     cases = []

@@ -220,9 +220,9 @@ def test_full_verify_reads_each_admission_flag_once(monkeypatch):
         calls.append(i)
         return admits(p, i)
 
-    def counted_removals(p, i, spikes):
+    def counted_removals(p, i):
         built.append(i)
-        return removals(p, i, spikes)
+        return removals(p, i)
 
     monkeypatch.setattr(flips, "admits_flip", counted)
     monkeypatch.setattr(flips, "_removals", counted_removals)
@@ -389,7 +389,7 @@ def test_flip_admission_table_structure():
     assert table.spikes == (2, 4)
     assert table.center == 4
     assert tuple(len(b) for b in table.blocks) == (3, 8, 7, 2, 0)
-    assert table.no_flip_counts() == (0, 4, 4, 1, 0)
+    assert table.pattern_counts(()) == (0, 4, 4, 1, 0)
     assert table.pattern_counts((4,)) == (2, 1, 0, 0, 0)
     assert table.pattern_counts((2,)) == (0, 3, 3, 1, 0)
     assert table.pattern_counts((2, 4)) == (1, 0, 0, 0, 0)
@@ -407,8 +407,7 @@ def test_flip_admission_table_validation():
     with pytest.raises(ValueError, match="center must be nonnegative"):
         pp.flip_admission_table((), -1)
     # 2^14 * (14 + 638) steps: the 638 members of D({2,3},14), relabelled
-    # onto 2^14 value sets, go over the step limit; m = 7 was over the old
-    # cap of 12 on 2m.
+    # onto 2^14 value sets, go over the step limit.
     with pytest.raises(pp.CapExceeded, match="takes 10682368 steps"):
         pp.flip_admission_table((2, 4), 14)
     table = pp.flip_admission_table((2, 4), 7)
