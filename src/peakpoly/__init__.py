@@ -36,9 +36,10 @@ verify = _lazy("verify")
 _EXPORTS = {
     core: (
         "CapExceeded", "MAX_STEPS", "Perm", "Positions", "SignedPerm", "as_permutation",
-        "as_signed_permutation", "descent_set", "initial_overlap_k", "initial_set",
-        "is_admissible", "is_permutation", "is_signed_permutation", "markings", "peak_set",
-        "peaks_of", "position_set", "spike_set", "spikes_of", "valley_set", "valleys_of",
+        "as_signed_permutation", "canonical_descent_set", "descent_set", "initial_overlap_k",
+        "initial_set", "is_admissible", "is_permutation", "is_signed_permutation", "markings",
+        "peak_set", "peaks_of", "position_set", "spike_set", "spikes_of", "valley_set",
+        "valleys_of",
     ),
     enumeration: (
         "DescentClassQuery", "PeakClassQuery", "count_descent_class", "count_peak_class",
@@ -46,8 +47,7 @@ _EXPORTS = {
         "peak_poly_value", "scale_peak_count",
     ),
     flips: (
-        "FlipAdmission", "admits_flip", "canonical_descent_set", "fl", "flip_profile", "psi",
-        "psi_set",
+        "FlipAdmission", "admits_flip", "fl", "flip_profile", "psi", "psi_set",
     ),
     polynomials: (
         "BinomialPolynomial", "FlipTable", "FlipTableRow", "binomial", "descent_coeffs",

@@ -25,6 +25,7 @@ from .core import (
     Perm,
     Positions,
     as_permutation,
+    canonical_descent_set,
     is_admissible,
     peak_set,
     position_set,
@@ -127,30 +128,23 @@ def _polynomial(poly: polynomials.BinomialPolynomial, label: str) -> Output:
                   [f"{label}: center {poly.center}, coefficients [{coeffs}]", poly.pretty()])
 
 
-def _center(args: argparse.Namespace, positions: Positions) -> int:
-    """``--center``, else max(S)+1 for descent-poly and max(I) otherwise."""
-    if args.center is not None:
-        return args.center
-    if not positions:
-        return 0
-    # At max(S)+1 the spike-subset expansion of d(S,n) shares a basis
-    # with all of its peak polynomial summands.
-    return max(positions) + 1 if args.command == "descent-poly" else max(positions)
-
-
 # ---------------------------------------------------------------------------
 # Subcommand handlers (each returns an Output and prints nothing)
 # ---------------------------------------------------------------------------
 
 def _cmd_descent_poly(args: argparse.Namespace) -> Output:
     s = parse_positions(args.set)
-    poly = polynomials.descent_coeffs(s, _center(args, s))
+    # At max(S)+1 the spike-subset expansion of d(S,n) shares a basis
+    # with all of its peak polynomial summands.
+    center = args.center if args.center is not None else max(s, default=-1) + 1
+    poly = polynomials.descent_coeffs(s, center)
     return _polynomial(poly, f"d({_set_str(s)},n)")
 
 
 def _cmd_peak_poly(args: argparse.Namespace) -> Output:
     i_set = parse_positions(args.set)
-    poly = polynomials.peak_coeffs(i_set, _center(args, i_set))
+    center = args.center if args.center is not None else max(i_set, default=0)
+    poly = polynomials.peak_coeffs(i_set, center)
     return _polynomial(poly, f"p({_set_str(i_set)},n)")
 
 
@@ -235,9 +229,9 @@ def _cmd_flips(args: argparse.Namespace) -> Output:
 
 def _cmd_table1(args: argparse.Namespace) -> Output:
     i_set = parse_positions(args.set)
-    center = _center(args, i_set)
+    center = args.center if args.center is not None else max(i_set, default=0)
     table = polynomials.flip_admission_table(i_set, center)
-    text = [f"D({_set_str(flips.canonical_descent_set(i_set))},{2 * center}) "
+    text = [f"D({_set_str(canonical_descent_set(i_set))},{2 * center}) "
             f"rows meeting the initial-set condition, spikes {_set_str(i_set)}"]
     for k, block in enumerate(table.blocks):
         text.append(f"k={k}  ({len(block)} rows)")
@@ -390,7 +384,3 @@ def run(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(run())

@@ -245,6 +245,29 @@ def is_admissible(s: Iterable[int]) -> bool:
     return all(b - a > 1 for a, b in zip(members, members[1:]))
 
 
+def canonical_descent_set(i_set: Iterable[int]) -> Positions:
+    """The unique descent set whose spike set is ``i_set``, rightmost spike a valley.
+
+    Walk the positions from max(I)-1 down to 1, starting downhill into
+    the valley at max(I) and turning at each spike: the descents are the
+    positions walked downhill.
+
+    >>> canonical_descent_set((2, 4))
+    (2, 3)
+    >>> canonical_descent_set((2,)), canonical_descent_set((4,))
+    ((1,), (1, 2, 3))
+    """
+    spikes = position_set(i_set)
+    if not is_admissible(spikes):
+        raise ValueError(f"not an admissible peak set: {spikes}")
+    top, down, members = max(spikes, default=0), True, []
+    for pos in range(top - 1, 0, -1):
+        if down:
+            members.append(pos)
+        down ^= pos in spikes
+    return tuple(reversed(members))
+
+
 # ---------------------------------------------------------------------------
 # Signed permutations
 # ---------------------------------------------------------------------------

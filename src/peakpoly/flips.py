@@ -1,4 +1,4 @@
-"""Prefix-flip involutions, spike-removal maps, and canonical descent sets.
+"""Prefix-flip involutions and spike-removal maps.
 
 The flip at i reverses the relative order of the first i values inside
 their own value set and leaves everything past i untouched. A spike at
@@ -11,10 +11,8 @@ from typing import Iterable, Sequence
 
 from .core import (
     Perm,
-    Positions,
     Record,
     check_cost,
-    is_admissible,
     position_set,
     spike_set,
 )
@@ -121,25 +119,3 @@ def psi_set(p: Sequence[int], positions: Iterable[int]) -> Perm:
         result = psi(result, j)
     return result
 
-
-def canonical_descent_set(i_set: Iterable[int]) -> Positions:
-    """The unique descent set whose spike set is ``i_set``, rightmost spike a valley.
-
-    Walk the positions from max(I)-1 down to 1, starting downhill into
-    the valley at max(I) and turning at each spike: the descents are the
-    positions walked downhill.
-
-    >>> canonical_descent_set((2, 4))
-    (2, 3)
-    >>> canonical_descent_set((2,)), canonical_descent_set((4,))
-    ((1,), (1, 2, 3))
-    """
-    spikes = position_set(i_set)
-    if not is_admissible(spikes):
-        raise ValueError(f"not an admissible peak set: {spikes}")
-    top, down, members = max(spikes, default=0), True, []
-    for pos in range(top - 1, 0, -1):
-        if down:
-            members.append(pos)
-        down ^= pos in spikes
-    return tuple(reversed(members))

@@ -21,6 +21,7 @@ from .core import (
     Perm,
     Positions,
     Record,
+    canonical_descent_set,
     check_cost,
     is_admissible,
     position_set,
@@ -285,7 +286,7 @@ def flip_admission_table(i_set: Iterable[int], m: int) -> FlipTable:
     order, all from one listing: 2^m·(m+h) steps, h = |D(S_I ∩ [1,m-1], m)|.
     """
     i_set = _at_center(i_set, m, peaks=True)
-    s = flips.canonical_descent_set(i_set)
+    s = canonical_descent_set(i_set)
     what = f"building the flip-admission table of D({list(s)},{2 * m})"
     return FlipTable(i_set, m, tuple(
         tuple(FlipTableRow(sigma, tuple(a.admits for a in flips.flip_profile(sigma).values()))
@@ -329,7 +330,7 @@ def moebius_terms(i_set: Iterable[int], n: int) -> list[tuple[Positions, Positio
     for r in range(len(i_set) + 1):
         sign = -1 if (len(i_set) - r) % 2 else 1
         for subset in itertools.combinations(i_set, r):
-            s_j = flips.canonical_descent_set(subset)
+            s_j = canonical_descent_set(subset)
             terms.append((subset, s_j, sign, count_descent_class(s_j, n)))
     return terms
 

@@ -26,7 +26,7 @@ import math
 from typing import Any, Iterable, Sequence
 
 from . import enumeration, flips, polynomials
-from .core import Perm, Positions, Record, check_cost
+from .core import Perm, Positions, Record, canonical_descent_set, check_cost
 
 
 class VerificationReport(Record):
@@ -285,11 +285,11 @@ def check_flip_bijection(i_set: Iterable[int], j_sub: Iterable[int],
     params = {"i": list(i_set), "j": list(j_sub), "n": n}
     s_source = _naive_canonical_set(i_set, n)
     s_target = _naive_canonical_set(tuple(x for x in i_set if x not in j_sub), n)
-    if s_source != flips.canonical_descent_set(i_set):
+    s_library = canonical_descent_set(i_set)
+    if s_source != s_library:
         return VerificationReport(
             "flip-bijection", params, False,
-            {"naive_descent_set": s_source,
-             "library_descent_set": flips.canonical_descent_set(i_set)})
+            {"naive_descent_set": s_source, "library_descent_set": s_library})
 
     m = max(i_set) if i_set else 0
     domain = [sigma for sigma in _naive_class(_mask(s_source), n)
@@ -354,7 +354,7 @@ def check_flip_table_partition(i_set: Iterable[int], m: int) -> VerificationRepo
         if want != got:
             return VerificationReport("flip-table", params, False,
                                       {"k": k, "scanned_rows": want, "table_rows": got})
-    a = polynomials.descent_coeffs(flips.canonical_descent_set(i_set), m)
+    a = polynomials.descent_coeffs(canonical_descent_set(i_set), m)
     sizes = tuple(len(block) for block in table.blocks)
     if sizes != a.coeffs:
         return VerificationReport(

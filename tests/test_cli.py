@@ -44,6 +44,17 @@ def test_descent_poly_text(capsys):
     assert "[3, 8, 7, 2, 0]" in out
 
 
+def test_default_centers_of_the_empty_set(capsys):
+    # max(S)+1 and max(I) both fall back to 0 on an empty set.
+    assert run(["descent-poly", "-"]) == 0
+    assert out_of(capsys) == "d({},n): center 0, coefficients [1]\n1 C(n,0)\n"
+    assert run(["peak-poly", "-"]) == 0
+    assert out_of(capsys) == "p({},n): center 0, coefficients [1]\n1 C(n,0)\n"
+    assert run(["table1", "--set", "-"]) == 0
+    assert out_of(capsys) == ("D({},0) rows meeting the initial-set condition, spikes {}\n"
+                              "k=0  (1 rows)\n    \n")
+
+
 def test_descent_poly_center_flag(capsys):
     assert run(["descent-poly", "2,3", "--center", "5", "--format", "json"]) == 0
     data = json.loads(out_of(capsys))
@@ -299,14 +310,22 @@ def test_import_loads_neither_numpy_nor_a_process_pool():
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
-    # A count runs `enumeration` only, and a descent polynomial adds
-    # `polynomials`: the code of the other layers never runs. Reading a
-    # module's __dict__ this way does not load it.
+    # A count runs `enumeration` only; a descent polynomial, a Moebius
+    # inversion and a spike expansion add `polynomials`, which reads the
+    # canonical descent sets from `core`: `flips` and `verify` code never
+    # runs. Reading a module's __dict__ this way does not load it.
     for argv, answer, polynomials in (
             (['count', 'descent', '2,3', '6'], ["|D({2,3},6)| = 26"], False),
             (['descent-poly', '2', '--center', '2'],
              ["d({2},n): center 2, coefficients [0, 2, 1]",
-              "0 C(n-2,0) + 2 C(n-2,1) + 1 C(n-2,2)"], True)):
+              "0 C(n-2,0) + 2 C(n-2,1) + 1 C(n-2,2)"], True),
+            (['moebius', '2,4', '20'],
+             ["p({2,4},20) = 1104", "  + d({},20) = 1   [J = {}]",
+              "  - d({1},20) = 19   [J = {2}]", "  - d({1,2,3},20) = 969   [J = {4}]",
+              "  + d({2,3},20) = 2091   [J = {2,4}]"], True),
+            (['expand', '2,3', '8'],
+             ["d({2,3},8) = 85, spikes {2,4}", "  p({},8) = 1", "  p({2},8) = 6",
+              "  p({4},8) = 34", "  p({2,4},8) = 44", "  sum = 85"], True)):
         proc = subprocess.run(
             [sys.executable, "-c",
              "import sys\n"

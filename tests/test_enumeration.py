@@ -140,6 +140,9 @@ def test_peak_poly_value():
     for n in range(1, 8):
         for i in oracles.admissible_sets(n - 1):
             assert pp.peak_poly_value(i, n) == oracles.p_value(i, n)
+    # 2^(n-|I|-1) divides every |P(I,n)|, so a size of 3 at I = {2}, n = 5 is a bug.
+    with pytest.raises(ArithmeticError, match=r"\|P\(\[2\],5\)\| = 3 is not divisible by 2\^3"):
+        pp.scale_peak_count(3, (2,), 5)
 
 
 def test_parallel_count_depth_invariance():

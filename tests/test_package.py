@@ -24,6 +24,10 @@ def test_every_public_name_resolves_to_its_layer_object():
     assert set(pp.__all__) <= set(namespace)
     assert set(pp.__all__) <= set(dir(pp))
     assert pp.__version__ == "1.0.0"
+    # The canonical descent set is a set statistic: core defines it, not flips.
+    layers = dict(zip(LAYERS, owners))
+    assert pp.canonical_descent_set is layers["core"].canonical_descent_set
+    assert "canonical_descent_set" not in vars(layers["flips"])
     with pytest.raises(AttributeError, match="no_such_name"):
         pp.no_such_name
 

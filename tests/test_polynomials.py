@@ -114,6 +114,8 @@ def test_recenter_down_requires_degree_room():
     assert all(down.evaluate(n) == poly.evaluate(n) for n in range(4, 15))
     with pytest.raises(ValueError):
         poly.recenter(2)
+    with pytest.raises(ValueError, match="center must be nonnegative"):
+        pp.BinomialPolynomial(2, (1, 0, 0)).recenter(-1)
 
 
 def test_prefix_interval_class_matches_filter():
@@ -141,6 +143,8 @@ def test_prefix_interval_class_golden():
         (5, 7, 6, 1, 2, 3, 4, 8),
         (6, 7, 5, 1, 2, 3, 4, 8),
     ]
+    with pytest.raises(ValueError, match=r"k must be in 0\.\.3, got 4"):
+        pp.prefix_interval_class((2,), 3, 4)
 
 
 def test_descent_coeffs_golden():

@@ -98,6 +98,25 @@ def test_flip_table_flags_are_checked_through_the_pattern_counts(monkeypatch):
                                      "peak_coeffs": (2, 1, 0, 0, 0)}
 
 
+def test_flip_table_catches_block_sizes_off_the_descent_coefficients(monkeypatch, capsys):
+    # The CLI prints each failing check with its counterexample and exits 1.
+    from peakpoly import polynomials
+    coeffs = polynomials.descent_coeffs
+    monkeypatch.setattr(polynomials, "descent_coeffs", lambda s, m: pp.BinomialPolynomial(
+        m, [c + 1 for c in coeffs(s, m).coeffs]))
+    report = pp.check_flip_table_partition((2,), 2)
+    assert report.passed is False
+    assert report.counterexample == {"block_sizes": (1, 1, 0), "descent_coeffs": (2, 2, 1)}
+    assert cli.run(["verify", "--claim", "flip-table", "--max-n", "3"]) == 1
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert lines[0] == ("FAIL  flip-table  (i=[2], m=2)  [0 cases]  counterexample: "
+                        "{'block_sizes': (1, 1, 0), 'descent_coeffs': (2, 2, 1)}")
+    assert len(lines) == 5 and all(line.startswith("FAIL  flip-table  ") for line in lines[1:4])
+    assert lines[4] == "0/4 checks passed"
+    assert captured.err == ""
+
+
 def test_mask_rules_match_the_per_tuple_statistics():
     # Every signed permutation of n <= 5 and every plain one of n <= 7:
     # its descents follow from its signs and the descents of its values,
@@ -333,6 +352,15 @@ def test_spike_sum_catches_a_wrong_count(monkeypatch):
         report = pp.check_spike_sum((2, 3), range(4, 7))
     assert not report.passed
     assert report.counterexample == {"n": 4, "peak_expansion": 1, "descent_count": 3}
+    # One extra peak-free permutation of 3 makes 5, not a multiple of the
+    # 2^(3-0-1) = 4 that p({},3) divides them by.
+    hist = verify._peak_class_histogram
+    with monkeypatch.context() as patch:
+        patch.setattr(verify, "_peak_class_histogram",
+                      lambda n: [size + (mask == 0) for mask, size in enumerate(hist(n))])
+        report = pp.check_spike_sum((1, 2), range(3, 7))
+    assert report.passed is False
+    assert report.counterexample == {"n": 3, "subset": [], "class_size": 5, "divisor": 4}
 
 
 def test_spike_sum_all_small_sets():
@@ -362,7 +390,7 @@ def test_flip_bijection():
 
 def test_flip_bijection_catches_defects_with_a_warm_scan(monkeypatch):
     # The shared scan is filled by a passing check first; a cached scan
-    # must not hide a wrong flip map or a wrong admission test.
+    # must not hide a wrong canonical set, flip map or admission test.
     assert pp.check_flip_bijection((2, 4), (2,), 8).passed
     with monkeypatch.context() as patch:
         patch.setattr(flips, "psi_set", lambda p, positions: tuple(p))
@@ -375,6 +403,34 @@ def test_flip_bijection_catches_defects_with_a_warm_scan(monkeypatch):
         report = pp.check_flip_bijection((2, 4), (2,), 8)
     assert not report.passed
     assert report.counterexample == {"domain_size": 0, "target_class_size": 35}
+    with monkeypatch.context() as patch:
+        patch.setattr(verify, "canonical_descent_set", lambda i_set: (1,))
+        report = pp.check_flip_bijection((2, 4), (2,), 8)
+    assert report.passed is False
+    assert report.counterexample == {"naive_descent_set": (2, 3), "library_descent_set": (1,)}
+    # Every image the same member of D({1,2,3},8): the first passes, the
+    # second repeats it.
+    with monkeypatch.context() as patch:
+        patch.setattr(flips, "psi_set", lambda p, positions: (4, 3, 2, 1, 5, 6, 7, 8))
+        report = pp.check_flip_bijection((2, 4), (2,), 8)
+    assert report.passed is False
+    assert report.counterexample == {"duplicate_image": (4, 3, 2, 1, 5, 6, 7, 8),
+                                     "sigma": (3, 5, 2, 1, 4, 6, 7, 8)}
+    # The 35 {2}-flippable members of D({2,3},8), in lex order, onto the 35
+    # members of D({1,2,3},8) in reverse lex order: one to one and onto the
+    # right class, but not psi, so the first image leaves its k-block.
+    domain = sorted(p for p in pp.enumerate_descent_class(pp.DescentClassQuery((2, 3), 8))
+                    if pp.admits_flip(p, 2).admits)
+    target = sorted(pp.enumerate_descent_class(pp.DescentClassQuery((1, 2, 3), 8)), reverse=True)
+    assert len(domain) == len(target) == 35
+    mapping = dict(zip(domain, target))
+    with monkeypatch.context() as patch:
+        patch.setattr(flips, "psi_set", lambda p, positions: mapping[p])
+        report = pp.check_flip_bijection((2, 4), (2,), 8)
+    assert report.passed is False
+    assert report.counterexample == {"sigma": (3, 4, 2, 1, 5, 6, 7, 8),
+                                     "image": (8, 7, 6, 1, 2, 3, 4, 5),
+                                     "sigma_k": 0, "image_k": None}
 
 
 def test_flip_bijection_image_class_sizes():
