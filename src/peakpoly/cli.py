@@ -1,24 +1,24 @@
 """Command-line front end for descent and peak polynomial computations.
 
-Subcommands cover coefficient extraction (descent-poly, peak-poly), exact
-class counting (count), the spike-subset expansion (expand) and its
-inversion (moebius), flip diagnostics for a single permutation (flips),
-the flip-admission table (table1), and the brute-force verification
-suite (verify).
+One table, ``COMMANDS``, gives each subcommand its handler, positionals,
+options with their defaults and one help line; ``run`` reads ``argv``
+against it. Options are spelled in full, as ``--name value`` or
+``--name=value``; ``-h`` or ``--help`` prints the table or one usage.
 
 Output contract: each handler returns one `Output` with the answer as
 data for every format and prints nothing; `run` hands it to `_emit`, the
 one place that reads ``--format``. Data goes to stdout. The verify
 summary is a note: it follows the text on stdout, and goes to stderr
-under json and csv. Errors go to stderr. Exit codes: 0 on success, 1
-when a verification check fails, 2 on bad arguments.
+under json and csv. Errors, bad arguments included, are one ``error:``
+line on stderr. Exit codes: 0 on success, 1 when a verification check
+fails, 2 on any error.
 """
 from __future__ import annotations
 
-import argparse
 import itertools
 import sys
-from typing import Any, NamedTuple, Sequence
+from types import SimpleNamespace
+from typing import Any, Callable, NamedTuple, Sequence
 
 from . import enumeration, flips, polynomials, verify
 from .core import (
@@ -132,7 +132,7 @@ def _polynomial(poly: polynomials.BinomialPolynomial, label: str) -> Output:
 # Subcommand handlers (each returns an Output and prints nothing)
 # ---------------------------------------------------------------------------
 
-def _cmd_descent_poly(args: argparse.Namespace) -> Output:
+def _cmd_descent_poly(args: SimpleNamespace) -> Output:
     s = parse_positions(args.set)
     # At max(S)+1 the spike-subset expansion of d(S,n) shares a basis
     # with all of its peak polynomial summands.
@@ -141,14 +141,14 @@ def _cmd_descent_poly(args: argparse.Namespace) -> Output:
     return _polynomial(poly, f"d({_set_str(s)},n)")
 
 
-def _cmd_peak_poly(args: argparse.Namespace) -> Output:
+def _cmd_peak_poly(args: SimpleNamespace) -> Output:
     i_set = parse_positions(args.set)
     center = args.center if args.center is not None else max(i_set, default=0)
     poly = polynomials.peak_coeffs(i_set, center)
     return _polynomial(poly, f"p({_set_str(i_set)},n)")
 
 
-def _cmd_count(args: argparse.Namespace) -> Output:
+def _cmd_count(args: SimpleNamespace) -> Output:
     positions = parse_positions(args.set)
     n, name = args.n, _set_str(positions)
     header = ("kind", "set", "n", "count")
@@ -166,7 +166,7 @@ def _cmd_count(args: argparse.Namespace) -> Output:
                   [f"|P({name},{n})| = {size}", f"p({name},{n}) = {scaled}"])
 
 
-def _cmd_expand(args: argparse.Namespace) -> Output:
+def _cmd_expand(args: SimpleNamespace) -> Output:
     s = parse_positions(args.set)
     n = args.n
     total = enumeration.count_descent_class(s, n)
@@ -183,7 +183,7 @@ def _cmd_expand(args: argparse.Namespace) -> Output:
                   [(_set_str(sub), v) for sub, v in terms] + [("total", total)], text)
 
 
-def _cmd_moebius(args: argparse.Namespace) -> Output:
+def _cmd_moebius(args: SimpleNamespace) -> Output:
     i_set = parse_positions(args.set)
     n = args.n
     terms = polynomials.moebius_terms(i_set, n)
@@ -203,7 +203,7 @@ def _cmd_moebius(args: argparse.Namespace) -> Output:
                   text)
 
 
-def _cmd_flips(args: argparse.Namespace) -> Output:
+def _cmd_flips(args: SimpleNamespace) -> Output:
     p = parse_permutation(args.permutation)
     removals = flips._spike_removals(p)
     peaks = set(peak_set(p))
@@ -227,7 +227,7 @@ def _cmd_flips(args: argparse.Namespace) -> Output:
                   text)
 
 
-def _cmd_table1(args: argparse.Namespace) -> Output:
+def _cmd_table1(args: SimpleNamespace) -> Output:
     i_set = parse_positions(args.set)
     center = args.center if args.center is not None else max(i_set, default=0)
     table = polynomials.flip_admission_table(i_set, center)
@@ -282,9 +282,7 @@ def _verification_reports(claim: str | None, max_n: int) -> list[verify.Verifica
     return reports
 
 
-def _cmd_verify(args: argparse.Namespace) -> Output:
-    if args.claim is not None and args.claim not in CLAIMS:
-        raise ValueError(f"unknown claim {args.claim!r}; choose from {', '.join(CLAIMS)}")
+def _cmd_verify(args: SimpleNamespace) -> Output:
     if args.max_n < 1:
         raise ValueError(f"--max-n must be at least 1, got {args.max_n}")
     reports = _verification_reports(args.claim, args.max_n)
@@ -303,84 +301,85 @@ def _cmd_verify(args: argparse.Namespace) -> Output:
 
 
 # ---------------------------------------------------------------------------
-# Parser assembly
+# Command table and argument reading
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("text", "json", "csv"),
-                        default="text", help="output format (default: text)")
+def _cmd_help(args: SimpleNamespace) -> Output:
+    if args.command not in COMMANDS:
+        return Output(None, (), (), ["usage: peakpoly COMMAND ...  (a set is 2,4 or - for empty)"]
+                      + [f"  {name:<13}{entry[3]}" for name, entry in COMMANDS.items()])
+    _, positionals, options, line = COMMANDS[args.command]
+    usage = " ".join([args.command, *(_metavar(arg, r) for arg, r in positionals.items())])
+    return Output(None, (), (), [f"usage: peakpoly {usage} [options]", line] + [
+        f"  {arg} {_metavar(arg, reader)}" + ("" if default is None else f" (default: {default})")
+        for arg, (reader, default) in {**options, **FORMAT}.items()])
 
-    parser = argparse.ArgumentParser(
-        prog="peakpoly",
-        description="Exact descent and peak statistics for permutations.")
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("descent-poly", parents=[common],
-                       help="binomial-basis coefficients of d(S,n)")
-    p.add_argument("set", help="descent set S, comma-separated ('-' for empty)")
-    p.add_argument("--center", type=int, default=None,
-                   help="basis center m (default: max(S)+1)")
-    p.set_defaults(handler=_cmd_descent_poly)
+# Each subcommand: handler, positionals, options with their defaults and one
+# help line. An argument is read by str, int or the tuple of its choices.
+FORMAT = {"--format": (("text", "json", "csv"), "text")}
+COMMANDS: dict[str, tuple[Callable[[SimpleNamespace], Output], dict, dict, str]] = {
+    "descent-poly": (_cmd_descent_poly, {"set": str}, {"--center": (int, None)},
+                     "binomial-basis coefficients of d(S,n) (center: max(S)+1)"),
+    "peak-poly": (_cmd_peak_poly, {"set": str}, {"--center": (int, None)},
+                  "binomial-basis coefficients of p(I,n) (center: max(I))"),
+    "count": (_cmd_count, {"kind": ("descent", "peak"), "set": str, "n": int}, {},
+              "exact class sizes d(S,n) or |P(I,n)| with p(I,n)"),
+    "expand": (_cmd_expand, {"set": str, "n": int}, {}, "d(S,n) as a sum over spike subsets"),
+    "moebius": (_cmd_moebius, {"set": str, "n": int}, {}, "p(I,n) by Moebius inversion"),
+    "flips": (_cmd_flips, {"permutation": str}, {}, "flip admissions of one permutation"),
+    "table1": (_cmd_table1, {}, {"--set": (str, "2,4"), "--center": (int, None)},
+               "flip-admission table of D(S,2·center) (center: max(I))"),
+    "verify": (_cmd_verify, {}, {"--claim": (CLAIMS, None), "--max-n": (int, 6)},
+               "brute-force checks up to --max-n: marked-lemma stops at 7, spike-sum and "
+               "flip-bijection at 8, and flip-table scans its fixed boards (2·max(I) ≤ 8)"),
+}
 
-    p = sub.add_parser("peak-poly", parents=[common],
-                       help="binomial-basis coefficients of p(I,n)")
-    p.add_argument("set", help="admissible peak set I, comma-separated")
-    p.add_argument("--center", type=int, default=None,
-                   help="basis center m (default: max(I))")
-    p.set_defaults(handler=_cmd_peak_poly)
 
-    p = sub.add_parser("count", parents=[common],
-                       help="exact class sizes d(S,n) or |P(I,n)| with p(I,n)")
-    p.add_argument("kind", choices=("descent", "peak"))
-    p.add_argument("set", help="position set, comma-separated ('-' for empty)")
-    p.add_argument("n", type=int)
-    p.set_defaults(handler=_cmd_count)
+def _metavar(arg: str, reader: Any) -> str:
+    return "{" + ",".join(reader) + "}" if isinstance(reader, tuple) else arg.strip("-").upper()
 
-    p = sub.add_parser("expand", parents=[common],
-                       help="d(S,n) as a sum of p(I,n) over spike subsets")
-    p.add_argument("set", help="descent set S, comma-separated ('-' for empty)")
-    p.add_argument("n", type=int)
-    p.set_defaults(handler=_cmd_expand)
 
-    p = sub.add_parser("moebius", parents=[common],
-                       help="p(I,n) as an alternating sum of descent counts")
-    p.add_argument("set", help="admissible peak set I, comma-separated")
-    p.add_argument("n", type=int)
-    p.set_defaults(handler=_cmd_moebius)
-
-    p = sub.add_parser("flips", parents=[common],
-                       help="flip admissions and images for one permutation")
-    p.add_argument("permutation",
-                   help="one-line notation, digits (n <= 9) or comma-separated")
-    p.set_defaults(handler=_cmd_flips)
-
-    p = sub.add_parser("table1", parents=[common],
-                       help="flip-admission table of the canonical descent class")
-    p.add_argument("--set", default="2,4",
-                   help="admissible peak set I (default: 2,4)")
-    p.add_argument("--center", type=int, default=None,
-                   help="half the board size m (default: max(I))")
-    p.set_defaults(handler=_cmd_table1)
-
-    p = sub.add_parser("verify", parents=[common],
-                       help="run the brute-force verification suite")
-    p.add_argument("--claim", default=None,
-                   help=f"restrict to one claim: {', '.join(CLAIMS)}")
-    p.add_argument("--max-n", type=int, default=6, dest="max_n",
-                   help="largest board size for exhaustive sweeps (default: 6); "
-                        "marked-lemma stops at 7, spike-sum and flip-bijection at 8, "
-                        "and flip-table always scans its fixed boards (2·max(I) ≤ 8)")
-    p.set_defaults(handler=_cmd_verify)
-
-    return parser
+def _parse(argv: Sequence[str]) -> tuple[Callable[[SimpleNamespace], Output], SimpleNamespace]:
+    """The handler and arguments that ``argv`` asks for; a bad argument
+    raises ValueError. ``-h`` or ``--help`` anywhere asks for ``_cmd_help``."""
+    name = argv[0] if argv else ""
+    if "-h" in argv or "--help" in argv:
+        return _cmd_help, SimpleNamespace(command=name, format="text")
+    if name not in COMMANDS:
+        raise ValueError(f"expected a command ({', '.join(COMMANDS)}), got {name!r}")
+    handler, positionals, options, _ = COMMANDS[name]
+    options = {**options, **FORMAT}
+    given, pairs, words = [], [], iter(argv[1:])
+    for word in words:
+        arg, has_value, text = word.partition("=")
+        if not word.startswith("--"):
+            given.append(word)
+        elif arg not in options:
+            raise ValueError(f"{name} has no option {arg}")
+        else:
+            pairs.append((arg, options[arg][0], text if has_value else next(words, None)))
+    if len(given) != len(positionals):
+        raise ValueError(f"{name} takes {len(positionals)} argument(s), got {len(given)}")
+    values = {arg: default for arg, (_, default) in options.items()}
+    for arg, reader, text in [*zip(positionals, positionals.values(), given), *pairs]:
+        if text is None:
+            raise ValueError(f"{arg} needs a value")
+        if isinstance(reader, tuple) and text not in reader:
+            raise ValueError(f"{arg} must be one of {', '.join(reader)}, got {text!r}")
+        try:
+            values[arg] = text if isinstance(reader, tuple) else reader(text)
+        except ValueError:
+            raise ValueError(f"{arg} must be an integer, got {text!r}") from None
+    return handler, SimpleNamespace(**{arg.strip("-").replace("-", "_"): value
+                                       for arg, value in values.items()})
 
 
 def run(argv: Sequence[str] | None = None) -> int:
-    """Parse arguments, dispatch, and return the process exit code."""
-    args = build_parser().parse_args(argv)
+    """Parse arguments against COMMANDS, dispatch, and return the exit code."""
     try:
-        return _emit(args.handler(args), args.format)
+        handler, args = _parse(sys.argv[1:] if argv is None else argv)
+        return _emit(handler(args), args.format)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -8,7 +8,7 @@ import pytest
 import oracles
 import peakpoly as pp
 from peakpoly import flips
-from peakpoly.cli import CLAIMS, parse_permutation, parse_positions, run
+from peakpoly.cli import CLAIMS, COMMANDS, parse_permutation, parse_positions, run
 
 
 def out_of(capsys):
@@ -227,11 +227,69 @@ def test_argument_errors_exit_2(capsys):
         assert capsys.readouterr().err == "error: center must be nonnegative\n"
     assert run(["verify", "--max-n", "0"]) == 2
     assert "--max-n" in capsys.readouterr().err
-    assert run(["verify", "--claim", "bogus"]) == 2
     assert run(["flips", "1123"]) == 2
-    with pytest.raises(SystemExit) as exc:
-        run(["no-such-command"])
-    assert exc.value.code == 2
+    capsys.readouterr()
+    # A bad argument leaves as every other error does: one line, no output.
+    for argv in (["no-such-command"], [], ["count", "descent", "2,3"],
+                 ["flips", "123", "321"], ["verify", "--max-n"], ["table1", "--set"],
+                 ["count", "descent", "2,3", "x"], ["descent-poly", "2", "--center", "x"],
+                 ["verify", "--max-n", "six"], ["count", "ascent", "2,3", "8"],
+                 ["peak-poly", "2,4", "--format", "xml"], ["verify", "--claim", "bogus"],
+                 ["descent-poly", "2,3", "--form", "json"]):
+        assert run(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert len(captured.err.splitlines()) == 1, argv
+        assert captured.err.startswith("error: "), argv
+
+
+def test_options_take_a_value_either_way(capsys):
+    # --name=value and --name value, anywhere after the subcommand; a value
+    # may start with '-'.
+    assert run(["table1", "--set=2", "--center=2", "--format=csv"]) == 0
+    joined = out_of(capsys)
+    assert run(["table1", "--format", "csv", "--center", "2", "--set", "2"]) == 0
+    assert out_of(capsys) == joined
+    assert run(["descent-poly", "--center", "5", "2,3"]) == 0
+    assert "center 5" in out_of(capsys)
+    assert run(["table1", "--set", "-", "--center", "0"]) == 0
+
+
+HELP = {
+    "descent-poly": ["usage: peakpoly descent-poly SET [options]", "  --center CENTER"],
+    "peak-poly": ["usage: peakpoly peak-poly SET [options]", "  --center CENTER"],
+    "count": ["usage: peakpoly count {descent,peak} SET N [options]"],
+    "expand": ["usage: peakpoly expand SET N [options]"],
+    "moebius": ["usage: peakpoly moebius SET N [options]"],
+    "flips": ["usage: peakpoly flips PERMUTATION [options]"],
+    "table1": ["usage: peakpoly table1 [options]", "  --set SET (default: 2,4)",
+               "  --center CENTER"],
+    "verify": ["usage: peakpoly verify [options]",
+               "  --claim {marked-lemma,spike-sum,flip-bijection,flip-table}",
+               "  --max-n MAX-N (default: 6)"],
+}
+
+
+def test_help_lists_the_commands_and_each_usage(capsys):
+    assert list(HELP) == list(COMMANDS)
+    for argv in (["--help"], ["-h"]):
+        assert run(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        listed = captured.out.splitlines()[1:]
+        assert [line.split()[0] for line in listed] == list(COMMANDS)
+    for name, lines in HELP.items():
+        for flag in ("--help", "-h"):
+            assert run([name, flag]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            out = captured.out.splitlines()
+            assert out[0] == lines[0]
+            assert set(lines[1:]) | {"  --format {text,json,csv} (default: text)"} <= set(out)
+    assert run(["verify", "--max-n", "3", "--help"]) == 0
+    out = out_of(capsys)
+    assert "marked-lemma stops at 7, spike-sum and flip-bijection at 8" in out
+    assert "flip-table scans its fixed boards" in out
 
 
 def test_env_cap_is_ignored(capsys, monkeypatch):
@@ -268,9 +326,10 @@ def test_every_claim_runs_a_check(claim, capsys):
     assert run(["verify", "--claim", claim, "--max-n", "1"]) == 0
     passed, total = out_of(capsys).splitlines()[-1].split()[0].split("/")
     assert passed == total and int(total) >= 1
-    with pytest.raises(SystemExit) as exc:
-        run(["verify", "--claim", claim, "--cap", "12"])
-    assert exc.value.code == 2
+    assert run(["verify", "--claim", claim, "--cap", "12"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: verify has no option --cap\n"
 
 
 def test_counts_are_exact_past_the_cap(capsys):
@@ -300,32 +359,53 @@ def test_module_invocation():
 
 def test_import_loads_neither_numpy_nor_a_process_pool():
     # Every CLI call pays for what `import peakpoly.cli` loads; no layer
-    # needs numpy or a process pool for it. `dataclasses` would pull in
-    # `inspect`, `ast`, `dis` and `tokenize`; `csv` serves `--format csv`
-    # only, and `json` the json and csv formats.
+    # needs numpy or a process pool for it, and the CLI reads its arguments
+    # without argparse, which would pull in `gettext` and `locale`.
+    # `dataclasses` would pull in `inspect`, `ast`, `dis` and `tokenize`;
+    # `csv` serves `--format csv` only, and `json` the json and csv formats.
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, peakpoly.cli; print(sorted({'numpy', 'concurrent.futures.process', "
-         "'dataclasses', 'inspect', 'csv', 'json'} & set(sys.modules)))"],
+         "'dataclasses', 'inspect', 'csv', 'json', 'argparse', 'gettext'} & set(sys.modules)))"],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
     # A count runs `enumeration` only; a descent polynomial, a Moebius
     # inversion and a spike expansion add `polynomials`, which reads the
-    # canonical descent sets from `core`: `flips` and `verify` code never
-    # runs. Reading a module's __dict__ this way does not load it.
-    for argv, answer, polynomials in (
-            (['count', 'descent', '2,3', '6'], ["|D({2,3},6)| = 26"], False),
+    # canonical descent sets from `core`. `flips` runs its own layer only,
+    # and only `verify` runs every layer. Reading a module's __dict__ this
+    # way does not load it.
+    verify_answer = [
+        "PASS  marked-lemma  (n=1)  [1 cases]", "PASS  marked-lemma  (n=2)  [4 cases]",
+        "PASS  marked-lemma  (n=3)  [24 cases]",
+        "PASS  spike-sum  (s=[], n_range=[1, 2, 3])  [3 cases]",
+        "PASS  spike-sum  (s=[1], n_range=[2, 3])  [2 cases]",
+        "PASS  spike-sum  (s=[2], n_range=[3])  [1 cases]",
+        "PASS  spike-sum  (s=[1, 2], n_range=[3])  [1 cases]",
+        "PASS  flip-bijection  (i=[], j=[], n=3)  [1 cases]",
+        "PASS  flip-bijection  (i=[2], j=[], n=3)  [2 cases]",
+        "PASS  flip-bijection  (i=[2], j=[2], n=3)  [1 cases]",
+        "PASS  flip-table  (i=[2], m=2)  [9 cases]", "PASS  flip-table  (i=[3], m=3)  [12 cases]",
+        "PASS  flip-table  (i=[4], m=4)  [15 cases]",
+        "PASS  flip-table  (i=[2, 4], m=4)  [25 cases]", "14/14 checks passed"]
+    layers = ("enumeration", "flips", "polynomials", "verify")
+    for argv, answer, ran in (
+            (['count', 'descent', '2,3', '6'], ["|D({2,3},6)| = 26"], {"enumeration"}),
             (['descent-poly', '2', '--center', '2'],
              ["d({2},n): center 2, coefficients [0, 2, 1]",
-              "0 C(n-2,0) + 2 C(n-2,1) + 1 C(n-2,2)"], True),
+              "0 C(n-2,0) + 2 C(n-2,1) + 1 C(n-2,2)"], {"enumeration", "polynomials"}),
             (['moebius', '2,4', '20'],
              ["p({2,4},20) = 1104", "  + d({},20) = 1   [J = {}]",
               "  - d({1},20) = 19   [J = {2}]", "  - d({1,2,3},20) = 969   [J = {4}]",
-              "  + d({2,3},20) = 2091   [J = {2,4}]"], True),
+              "  + d({2,3},20) = 2091   [J = {2,4}]"], {"enumeration", "polynomials"}),
             (['expand', '2,3', '8'],
              ["d({2,3},8) = 85, spikes {2,4}", "  p({},8) = 1", "  p({2},8) = 6",
-              "  p({4},8) = 34", "  p({2,4},8) = 44", "  sum = 85"], True)):
+              "  p({4},8) = 34", "  p({2,4},8) = 44", "  sum = 85"],
+             {"enumeration", "polynomials"}),
+            (['flips', '24315678'],
+             ["24315678: spikes {2,4}", "  spike 2 (peak): no flip",
+              "  spike 4 (valley): admits 4+ -> 31245678"], {"flips"}),
+            (['verify', '--max-n', '3'], verify_answer, set(layers))):
         proc = subprocess.run(
             [sys.executable, "-c",
              "import sys\n"
@@ -335,12 +415,12 @@ def test_import_loads_neither_numpy_nor_a_process_pool():
              "                    ('polynomials', 'peak_coeffs'), ('verify', 'check_marked_lemma')]:\n"
              "    module = sys.modules['peakpoly.' + layer]\n"
              "    print(layer, name in object.__getattribute__(module, '__dict__'))\n"
+             "print(sorted({'argparse', 'gettext'} & set(sys.modules)))\n"
              "print(code)"],
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == [
-            *answer, "enumeration True", "flips False", f"polynomials {polynomials}",
-            "verify False", "0"], argv
+            *answer, *(f"{layer} {layer in ran}" for layer in layers), "[]", "0"], argv
 
 
 def test_every_layer_is_registered_after_importing_the_cli():
