@@ -2,7 +2,7 @@
 
 For a fixed set S, the number d(S, n) of permutations of n whose
 descent set is exactly S is a polynomial in n. This script pins the
-class down by pruned enumeration, by the exact counting engine, and by
+class down by listing its members, by the exact counting engine, and by
 expanding d(S, n) in the binomial basis C(n-m, k), then checks that
 all three agree.
 """

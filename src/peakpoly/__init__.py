@@ -35,11 +35,10 @@ verify = _lazy("verify")
 
 _EXPORTS = {
     core: (
-        "CapExceeded", "MAX_STEPS", "Perm", "Positions", "SignedPerm", "as_permutation",
-        "as_signed_permutation", "canonical_descent_set", "descent_set", "initial_overlap_k",
-        "initial_set", "is_admissible", "is_permutation", "is_signed_permutation", "markings",
-        "peak_set", "peaks_of", "position_set", "spike_set", "spikes_of", "valley_set",
-        "valleys_of",
+        "CapExceeded", "MAX_STEPS", "Perm", "Positions", "as_permutation",
+        "canonical_descent_set", "descent_set", "initial_overlap_k", "initial_set",
+        "is_admissible", "is_permutation", "markings", "peak_set", "peaks_of", "position_set",
+        "spike_set", "spikes_of", "valley_set", "valleys_of",
     ),
     enumeration: (
         "DescentClassQuery", "PeakClassQuery", "count_descent_class", "count_peak_class",

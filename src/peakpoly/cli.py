@@ -24,6 +24,7 @@ from . import enumeration, flips, polynomials, verify
 from .core import (
     Perm,
     Positions,
+    _set_str,
     as_permutation,
     canonical_descent_set,
     is_admissible,
@@ -85,10 +86,6 @@ def parse_permutation(text: str) -> Perm:
     else:
         raise ValueError(f"cannot parse permutation from {text!r}")
     return as_permutation(values)
-
-
-def _set_str(positions: Sequence[int]) -> str:
-    return "{" + ",".join(str(p) for p in positions) + "}"
 
 
 def _perm_str(p: Sequence[int]) -> str:
@@ -157,7 +154,7 @@ def _cmd_count(args: SimpleNamespace) -> Output:
         return Output({"kind": "descent", "set": list(positions), "n": n, "count": str(value)},
                       header, [("descent", name, n, value)], [f"|D({name},{n})| = {value}"])
     if not is_admissible(positions):
-        raise ValueError(f"not an admissible peak set: {positions}")
+        raise ValueError(f"not an admissible peak set: {_set_str(positions)}")
     size = enumeration.count_peak_class(positions, n)
     scaled = enumeration.scale_peak_count(size, positions, n)
     payload = {"kind": "peak", "set": list(positions), "n": n,

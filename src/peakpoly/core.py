@@ -17,7 +17,6 @@ import operator
 from typing import Iterable, Iterator, Sequence
 
 Perm = tuple[int, ...]
-SignedPerm = tuple[int, ...]
 Positions = tuple[int, ...]
 
 #: Most steps one request may take: prefixes listed, engine cells filled,
@@ -40,6 +39,11 @@ def check_cost(steps: float, what: str) -> None:
         except ValueError:  # past the interpreter's limit on int-to-str digits
             count = f"a {_digit_count(steps)}-digit number of"
         raise CapExceeded(f"{what} takes {count} steps, over the limit of {MAX_STEPS}")
+
+
+def _set_str(positions: Iterable[int]) -> str:
+    """A position set as the answers print it: ``{2,3}``, ``{}`` when empty."""
+    return "{" + ",".join(str(p) for p in positions) + "}"
 
 
 def _digit_count(value: int) -> int:
@@ -101,15 +105,6 @@ def is_permutation(values: Sequence[int]) -> bool:
     return sorted(values) == list(range(1, len(values) + 1))
 
 
-def is_signed_permutation(values: Sequence[int]) -> bool:
-    """Check that the absolute values of ``values`` form a permutation of 1..n.
-
-    >>> is_signed_permutation((3, -1, 2)), is_signed_permutation((1, -1))
-    (True, False)
-    """
-    return sorted(abs(v) for v in values) == list(range(1, len(values) + 1))
-
-
 def as_permutation(values: Iterable[int]) -> Perm:
     """Validate and return ``values`` as a permutation tuple."""
     p = tuple(values)
@@ -117,16 +112,6 @@ def as_permutation(values: Iterable[int]) -> Perm:
         raise ValueError("a permutation must have length at least 1")
     if not is_permutation(p):
         raise ValueError(f"not a permutation of 1..{len(p)}: {p}")
-    return p
-
-
-def as_signed_permutation(values: Iterable[int]) -> SignedPerm:
-    """Validate and return ``values`` as a signed permutation tuple."""
-    p = tuple(values)
-    if not p:
-        raise ValueError("a signed permutation must have length at least 1")
-    if not is_signed_permutation(p):
-        raise ValueError(f"absolute values are not a permutation of 1..{len(p)}: {p}")
     return p
 
 
@@ -259,7 +244,7 @@ def canonical_descent_set(i_set: Iterable[int]) -> Positions:
     """
     spikes = position_set(i_set)
     if not is_admissible(spikes):
-        raise ValueError(f"not an admissible peak set: {spikes}")
+        raise ValueError(f"not an admissible peak set: {_set_str(spikes)}")
     top, down, members = max(spikes, default=0), True, []
     for pos in range(top - 1, 0, -1):
         if down:
@@ -272,7 +257,7 @@ def canonical_descent_set(i_set: Iterable[int]) -> Positions:
 # Signed permutations
 # ---------------------------------------------------------------------------
 
-def markings(p: Sequence[int]) -> Iterator[SignedPerm]:
+def markings(p: Sequence[int]) -> Iterator[tuple[int, ...]]:
     """Yield all 2^n sign patterns applied to the values of ``p``.
 
     The all-positive pattern comes first, so ``p`` itself is the first

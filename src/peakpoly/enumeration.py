@@ -1,30 +1,26 @@
 """Generators and exact counters for descent classes and peak classes.
 
-The generators use descent- or peak-pruned backtracking: a partial
-one-line prefix is abandoned as soon as a decided position contradicts
-the requested pattern. Placing the value at position j decides the
-descent at position j-1 and the peak status of position j-1 (the latter
-needs the value at j-2 as well), so every yielded permutation is built
-without ever scanning the full factorial search space.
-
-Counts never enumerate. They run one forward transfer matrix over the
-rank of the last entry among the entries placed so far and the direction
-of the last step (after Niven 1968; de Bruijn 1970). A run to length N
-costs N(N+1)/2 big-integer additions for any pattern and yields the class
-size at every length up to N: counts, listing step counts and polynomial
-coefficients each read one run. Counts are exact Python ints at any size.
+Both read one forward transfer matrix over the rank of the last entry
+among the entries placed so far and the direction of the last step
+(after Niven 1968; de Bruijn 1970). A run to length N fills N(N+1)/2
+big-integer cells and keeps its state at each length, whose sum is the
+exact class size there. A listing walks one run on the reversed pattern
+and enters only prefixes with a completion: the engine's step is the
+one pattern rule.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
-from typing import Iterable, Iterator
+from typing import Collection, Iterable, Iterator
 
 from .core import (
     MAX_STEPS,
     Perm,
     Positions,
     Record,
+    _set_str,
     check_cost,
     is_admissible,
     position_set,
@@ -55,12 +51,6 @@ class DescentClassQuery(Record):
         """The positions the class fixes exactly: its descents."""
         return self.descents
 
-    def _allows(self, prefix: Perm, v: int) -> bool:
-        """Whether appending ``v`` to ``prefix`` keeps the descent it decides,
-        at j = len(prefix), right."""
-        j = len(prefix)
-        return j < 1 or (prefix[-1] > v) == (j in self.descents)
-
 
 class PeakClassQuery(Record):
     """All permutations of n whose peak set is exactly ``peaks``."""
@@ -76,37 +66,16 @@ class PeakClassQuery(Record):
         """The positions the class fixes exactly: its peaks."""
         return self.peaks
 
-    def _allows(self, prefix: Perm, v: int) -> bool:
-        """Whether appending ``v`` to ``prefix`` keeps the peak status it
-        decides, at j = len(prefix), right; position 1 is never a peak."""
-        j = len(prefix)
-        return j < 1 or (j > 1 and prefix[-2] < prefix[-1] > v) == (j in self.peaks)
-
 
 Query = DescentClassQuery | PeakClassQuery
 
 
-# ---------------------------------------------------------------------------
-# Pruned backtracking
-# ---------------------------------------------------------------------------
-
-def _arrangements(query: Query, prefix: Perm, remaining: tuple[int, ...]) -> Iterator[Perm]:
-    """Extensions of ``prefix`` by all of ``remaining`` that ``query`` allows.
-
-    Values are tried in increasing order, so the outputs appear in
-    lexicographic one-line order.
-    """
-    if not remaining:
-        yield prefix
-        return
-    for idx, v in enumerate(remaining):
-        if query._allows(prefix, v):
-            yield from _arrangements(
-                query, prefix + (v,), remaining[:idx] + remaining[idx + 1:])
+def _name(query: Query) -> str:
+    return f"{'P' if query._on_peaks else 'D'}({_set_str(query.positions)},{query.n})"
 
 
 # ---------------------------------------------------------------------------
-# The counting engine
+# The engine
 # ---------------------------------------------------------------------------
 
 def _plus(xs: list[int], ys: list[int]) -> list[int]:
@@ -118,57 +87,104 @@ def _plus(xs: list[int], ys: list[int]) -> list[int]:
     return [a + b for a, b in zip(xs, ys)]
 
 
-def _sizes(positions: Positions, peaks: bool, lengths: range,
-           prefix: Perm = (1,)) -> Iterator[int]:
-    """The class sizes at ``lengths``, from len(prefix) on, of one engine
-    run: how many permutations of each length start in the relative order
-    of ``prefix`` and have exactly ``positions`` as their peaks (if
-    ``peaks``) or descents below that length.
-
-    The state after k entries is the rank r of the last entry among them,
-    split by whether the last step rose; the next entry, of rank r' in
-    0..k, rises exactly when r' > r. Prefix sums make each step linear, so
-    length n fills n(n+1)/2 cells. Step k's sums end in the class size at
-    k, but at a peak they sum only the rises, and the falls are added."""
+def _layers(positions: Collection[int], peaks: bool, n: int,
+            prefix: Perm = (1,)) -> Iterator[tuple[list[int], list[int]]]:
+    """The engine's state at each length from len(prefix) to n: how many
+    permutations of that length start in the relative order of ``prefix``,
+    have exactly ``positions`` below that length as their peaks (if
+    ``peaks``) or descents, and end in each rank r, as (rose, fell) by the
+    last step. After k entries the next, of rank r' in 0..k, rises iff
+    r' > r and decides position k. Prefix sums make each step linear, so
+    length n fills n(n+1)/2 cells."""
     d = len(prefix)
     rose, fell = [0] * d, [0] * d
     (rose if d > 1 and prefix[-2] < prefix[-1] else fell)[prefix[-1] - 1] = 1
-    for k in range(d, lengths.stop):
-        # Placing entry k+1 decides position k.
-        if k in positions:
-            size = sum(fell) if peaks and k in lengths else 0
+    yield rose, fell
+    for k in range(d, n):
+        if k in positions:  # a fall, and for a peak only after a rise
             falls = rose if peaks else _plus(rose, fell)
             rose, fell = [0] * (k + 1), [0, *itertools.accumulate(reversed(falls))][::-1]
-            size += fell[0]
-        else:
+        else:  # a rise after either step, and for peaks a fall after a fall
             rose = [0, *itertools.accumulate(_plus(rose, fell))]
             fell = ([0, *itertools.accumulate(reversed(fell))][::-1] if peaks
                     else [0] * (k + 1))
-            size = rose[-1]
+        yield rose, fell
+
+
+def _sizes(positions: Positions, peaks: bool, lengths: range,
+           prefix: Perm = (1,)) -> Iterator[int]:
+    """The class sizes at ``lengths``, from len(prefix) on: the sums of one
+    ``_layers`` run's states there."""
+    for k, (rose, fell) in enumerate(_layers(positions, peaks, lengths.stop - 1, prefix),
+                                     len(prefix)):
         if k in lengths:
-            yield size
+            yield sum(rose) + sum(fell)
 
 
 # ---------------------------------------------------------------------------
-# Streams
+# Listing
 # ---------------------------------------------------------------------------
 
-def _listing_steps(query: Query, n: int) -> float:
-    """The prefixes that ``_arrangements`` visits on n values, math.inf once
-    past MAX_STEPS: a k-prefix decides the positions below k, so C(n,k)
-    value sets times one run's size at k."""
-    steps = 1  # the empty prefix
-    for k, size in enumerate(_sizes(query.positions, query._on_peaks, range(1, n + 1)), 1):
-        steps += math.comb(n, k) * size
-        if steps > MAX_STEPS:
-            return math.inf
-    return steps
+def _listing_price(query: Query) -> tuple[float, int]:
+    """The steps of listing ``query``'s class, and its size: the cells of two
+    engine runs to n, this one and ``_walk``'s, plus the prefixes the walk
+    enters, at depth k at most the class size and at most C(n,k) value sets
+    times the class cut at length k. With more than MAX_STEPS cells, math.inf."""
+    n = query.n
+    if n * (n + 1) > MAX_STEPS:
+        return math.inf, 0
+    sizes = list(_sizes(query.positions, query._on_peaks, range(1, n + 1)))
+    return n * (n + 1) + sum(min(sizes[-1], math.comb(n, k) * size)
+                             for k, size in enumerate(sizes, 1)), sizes[-1]
+
+
+def _children(live: list, rank: int, ok: tuple[bool, bool]) -> list:
+    """The entries that may follow one of ``rank`` reached as ``ok`` allows
+    (by a rise, by a fall), in increasing rank, each with its own ``ok``."""
+    (rises, ok_rise), (falls, ok_fall) = live
+    return ([(r, ok_rise) for r in rises[:bisect.bisect_left(rises, rank)]] if ok[0] else []) \
+        + ([(r, ok_fall) for r in falls[bisect.bisect_left(falls, rank):]] if ok[1] else [])
+
+
+def _walk(query: Query) -> Iterator[Perm]:
+    """The members of ``query``'s class in lex order, walking one ``_layers``
+    run on the reversed pattern down from length n with an explicit stack.
+
+    Reversed, a member rises at n-j for a descent at j and peaks at n+1-i
+    for a peak at i, so after k entries the state at length n-k+1 counts
+    completions by the rank of entry k among itself and the unused values.
+    Ranks go up, which is lex order. A child is entered only where the
+    engine's step feeds the parent's state from a nonzero count."""
+    n, peaks = query.n, query._on_peaks
+    back = ({n + 1 - i for i in query.positions} if peaks
+            else {j for j in range(1, n) if n - j not in query.positions})
+    lives = [[([], None), ([], None)]]  # nothing follows a member
+    for length, (rose, fell) in enumerate(_layers(back, peaks, n), 1):
+        # The state's allowed (rose, fell) as the step to length+1 rises or falls:
+        # a descent fixes that step, and a rise then a fall is a peak.
+        oks = (((False, False), (True, not peaks)) if length in back
+               else ((True, True), (False, peaks)))
+        lives.append([([r for r in range(length) if ok[0] and rose[r] or ok[1] and fell[r]], ok)
+                      for ok in oks])
+    unused, prefix = list(range(1, n + 1)), []
+    stack = [iter(_children(lives[n], n, (True, False)))]  # every first entry
+    while stack:
+        node = next(stack[-1], None)
+        if node is None:
+            stack.pop()
+            if prefix:
+                bisect.insort(unused, prefix.pop())
+        else:
+            prefix.append(unused.pop(node[0]))
+            if len(prefix) == n:
+                yield tuple(prefix)
+            stack.append(iter(_children(lives[n - len(prefix)], *node)))
 
 
 def enumerate_descent_class(q: DescentClassQuery) -> Iterator[Perm]:
     """Yield the permutations with descent set exactly ``q.descents``, in lex order."""
-    check_cost(_listing_steps(q, q.n), f"listing D({list(q.descents)},{q.n})")
-    return _arrangements(q, (), tuple(range(1, q.n + 1)))
+    check_cost(_listing_price(q)[0], f"listing {_name(q)}")
+    return _walk(q)
 
 
 def enumerate_peak_class(q: PeakClassQuery) -> Iterator[Perm]:
@@ -179,8 +195,8 @@ def enumerate_peak_class(q: PeakClassQuery) -> Iterator[Perm]:
     """
     if not is_admissible(q.peaks):
         return iter(())
-    check_cost(_listing_steps(q, q.n), f"listing P({list(q.peaks)},{q.n})")
-    return _arrangements(q, (), tuple(range(1, q.n + 1)))
+    check_cost(_listing_price(q)[0], f"listing {_name(q)}")
+    return _walk(q)
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +210,7 @@ def count_descent_class(s: Iterable[int], n: int) -> int:
     size of S; CapExceeded when they pass MAX_STEPS.
     """
     q = DescentClassQuery(s, n)
-    check_cost(q.n * (q.n + 1) // 2, f"counting D({list(q.descents)},{q.n})")
+    check_cost(q.n * (q.n + 1) // 2, f"counting {_name(q)}")
     return next(_sizes(q.positions, q._on_peaks, range(q.n, q.n + 1)))
 
 
@@ -207,7 +223,7 @@ def scale_peak_count(size: int, i: Positions, n: int) -> int:
     value, rem = divmod(size, 1 << (n - len(i) - 1))
     if rem:
         raise ArithmeticError(
-            f"|P({list(i)},{n})| = {size} is not divisible by 2^{n - len(i) - 1}"
+            f"|P({_set_str(i)},{n})| = {size} is not divisible by 2^{n - len(i) - 1}"
         )
     return value
 
@@ -219,7 +235,7 @@ def count_peak_class(i: Iterable[int], n: int) -> int:
     A non-admissible I gives 0: no permutation realizes it.
     """
     q = PeakClassQuery(i, n)
-    check_cost(q.n * (q.n + 1) // 2, f"counting P({list(q.peaks)},{q.n})")
+    check_cost(q.n * (q.n + 1) // 2, f"counting {_name(q)}")
     return next(_sizes(q.positions, q._on_peaks, range(q.n, q.n + 1)))
 
 
@@ -235,8 +251,8 @@ def peak_poly_value(i: Iterable[int], n: int) -> int:
 def parallel_count(query: Query, partition_depth: int = 0) -> int:
     """Exact class size as a sum of independent per-prefix counts.
 
-    Every pattern-consistent relative order of the first
-    ``partition_depth`` entries (a permutation of 1..depth) is listed,
+    The members of the class cut at length ``partition_depth``, the
+    pattern-consistent relative orders of the first entries, are listed,
     and each seeds its own engine run to length n, whose n(n+1)/2 cells
     bound its cost. The result does not depend on the depth, which
     makes it a check of the engine.
@@ -249,9 +265,9 @@ def parallel_count(query: Query, partition_depth: int = 0) -> int:
     if query._on_peaks and not is_admissible(query.peaks):
         return 0
     depth = max(partition_depth, 1)  # the empty prefix runs from the one of length 1
-    check_cost(_listing_steps(query, depth) * (n * (n + 1) // 2),
-               f"counting {'P' if query._on_peaks else 'D'}({list(query.positions)},{n})"
-               f" by prefixes of length {partition_depth}")
-    prefixes = _arrangements(query, (), tuple(range(1, depth + 1)))
+    cut = type(query)([p for p in query.positions if p < depth], depth)
+    steps, size = _listing_price(cut)
+    check_cost(steps + size * (n * (n + 1) // 2),
+               f"counting {_name(query)} by prefixes of length {partition_depth}")
     return sum(next(_sizes(query.positions, query._on_peaks, range(n, n + 1), prefix))
-               for prefix in prefixes)
+               for prefix in _walk(cut))

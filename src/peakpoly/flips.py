@@ -12,6 +12,7 @@ from typing import Iterable, Sequence
 from .core import (
     Perm,
     Record,
+    _set_str,
     check_cost,
     position_set,
     spike_set,
@@ -110,10 +111,10 @@ def psi_set(p: Sequence[int], positions: Iterable[int]) -> Perm:
     """
     js = position_set(positions)
     if any(b - a <= 1 for a, b in zip(js, js[1:])):
-        raise ValueError(f"flip positions must be more than 1 apart: {js}")
+        raise ValueError(f"flip positions must be more than 1 apart: {_set_str(js)}")
     spikes = set(spike_set(p))
     if not set(js) <= spikes:
-        raise ValueError(f"{sorted(set(js) - spikes)} are not spikes of {tuple(p)}")
+        raise ValueError(f"{_set_str(sorted(set(js) - spikes))} are not spikes of {tuple(p)}")
     result = tuple(p)
     for j in reversed(js):
         result = psi(result, j)

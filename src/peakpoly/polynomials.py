@@ -21,6 +21,7 @@ from .core import (
     Perm,
     Positions,
     Record,
+    _set_str,
     canonical_descent_set,
     check_cost,
     is_admissible,
@@ -145,8 +146,8 @@ def _interval_blocks(s: Positions, m: int, ks: range, what: str) -> list[list[Pe
 
     A row's last m entries increase and its first m are a member of D(S',m),
     S' = S ∩ [1,m-1], relabelled onto low ∪ [m+1,m+k] for an (m-k)-subset low
-    of [m]. D(S',m) is listed once, after its own check and this pricing: as it
-    visits at least m+h prefixes, h = |D(S',m)|, block k costs C(m,k)·(m+h) steps.
+    of [m]. D(S',m) is listed once, after its own check and this pricing: block k
+    relabels its h = |D(S',m)| members onto C(m,k) value sets, C(m,k)·(m+h) steps.
     """
     if not m:
         return [[()]]
@@ -174,7 +175,7 @@ def prefix_interval_class(s: Iterable[int], m: int, k: int) -> Iterator[Perm]:
     s = _at_center(s, m, peaks=False)
     if not 0 <= k <= m:
         raise ValueError(f"k must be in 0..{m}, got {k}")
-    block, = _interval_blocks(s, m, range(k, k + 1), f"listing block {k} of D({list(s)},{2 * m})")
+    block, = _interval_blocks(s, m, range(k, k + 1), f"listing block {k} of D({_set_str(s)},{2 * m})")
     return iter(block)
 
 
@@ -183,7 +184,7 @@ def _at_center(positions: Iterable[int], m: int, *, peaks: bool) -> Positions:
     center m reaches its maximum."""
     positions = position_set(positions)
     if peaks and not is_admissible(positions):
-        raise ValueError(f"not an admissible peak set: {positions}")
+        raise ValueError(f"not an admissible peak set: {_set_str(positions)}")
     if positions and m < positions[-1]:
         raise ValueError(f"center {m} is below max({'I' if peaks else 'S'}) = {positions[-1]}")
     if m < 0:
@@ -201,7 +202,7 @@ def _from_values(positions: Iterable[int], m: int, *, peaks: bool) -> BinomialPo
     """
     positions = _at_center(positions, m, peaks=peaks)
     check_cost((2 * m + 1) * (m + 1) + m * (m + 1) // 2,
-               f"computing {'p' if peaks else 'd'}({list(positions)},n) at center {m}")
+               f"computing {'p' if peaks else 'd'}({_set_str(positions)},n) at center {m}")
     values = list(_sizes(positions, peaks, range(m + 1, 2 * m + 2)))
     if peaks:
         values = [scale_peak_count(v, positions, n) for n, v in enumerate(values, m + 1)]
@@ -287,7 +288,7 @@ def flip_admission_table(i_set: Iterable[int], m: int) -> FlipTable:
     """
     i_set = _at_center(i_set, m, peaks=True)
     s = canonical_descent_set(i_set)
-    what = f"building the flip-admission table of D({list(s)},{2 * m})"
+    what = f"building the flip-admission table of D({_set_str(s)},{2 * m})"
     return FlipTable(i_set, m, tuple(
         tuple(FlipTableRow(sigma, tuple(a.admits for a in flips.flip_profile(sigma).values()))
               for sigma in block)
@@ -304,7 +305,7 @@ def spike_terms(s: Iterable[int], n: int) -> list[tuple[Positions, int]]:
     spikes of S, by size and then lexicographically; one engine count each."""
     s = position_set(s, n)
     spikes = spikes_of(s, n)
-    check_cost(2 ** len(spikes) * n * (n + 1) // 2, f"expanding d({list(s)},{n}) over spikes")
+    check_cost(2 ** len(spikes) * n * (n + 1) // 2, f"expanding d({_set_str(s)},{n}) over spikes")
     return [(subset, peak_poly_value(subset, n))
             for r in range(len(spikes) + 1)
             for subset in itertools.combinations(spikes, r) if is_admissible(subset)]
@@ -323,9 +324,9 @@ def moebius_terms(i_set: Iterable[int], n: int) -> list[tuple[Positions, Positio
     """
     i_set = position_set(i_set)
     if not is_admissible(i_set):
-        raise ValueError(f"not an admissible peak set: {i_set}")
+        raise ValueError(f"not an admissible peak set: {_set_str(i_set)}")
     PeakClassQuery(i_set, n)  # refuses n < 1 and n <= max(I)
-    check_cost(2 ** len(i_set) * n * (n + 1) // 2, f"inverting p({list(i_set)},{n}) over subsets")
+    check_cost(2 ** len(i_set) * n * (n + 1) // 2, f"inverting p({_set_str(i_set)},{n}) over subsets")
     terms = []
     for r in range(len(i_set) + 1):
         sign = -1 if (len(i_set) - r) % 2 else 1

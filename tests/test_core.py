@@ -159,14 +159,9 @@ def test_markings_cap():
 
 def test_validators():
     assert pp.as_permutation([2, 1]) == (2, 1)
-    assert pp.as_signed_permutation([-2, 1]) == (-2, 1)
     for bad in ([], [1, 1], [0, 1], [2, 3]):
         with pytest.raises(ValueError):
             pp.as_permutation(bad)
-    for bad in ([], [1, 1], [0, 1], [2, -2]):
-        with pytest.raises(ValueError):
-            pp.as_signed_permutation(bad)
-    assert not pp.is_signed_permutation((1, -1))
 
 
 def test_position_set_normalizes():

@@ -1,5 +1,8 @@
+import collections
 import itertools
 import math
+import re
+import sys
 import time
 
 import pytest
@@ -14,12 +17,19 @@ def all_sets(n):
         yield from itertools.combinations(range(1, n), r)
 
 
+def classes_by_scan(n, statistic):
+    """Every class of S_n by ``statistic``, its members in lex order, from one scan."""
+    classes = collections.defaultdict(list)
+    for p in oracles.perms(n):
+        classes[statistic(p)].append(p)
+    return classes
+
+
 def test_descent_class_matches_oracle():
-    for n in range(1, 7):
+    for n in range(1, 9):
+        classes = classes_by_scan(n, oracles.descents)
         for s in all_sets(n):
-            q = pp.DescentClassQuery(s, n)
-            got = list(pp.enumerate_descent_class(q))
-            assert got == oracles.descent_class(s, n)
+            assert list(pp.enumerate_descent_class(pp.DescentClassQuery(s, n))) == classes[s]
 
 
 def test_descent_class_golden():
@@ -58,22 +68,45 @@ def test_query_validation():
 
 
 def test_enumeration_cap():
-    # Listing D(∅,n) visits 2^n prefixes, so n = 30 goes over the step limit
-    # and n = 16 and 13 stay inside it.
+    # A listing on n values takes the n(n+1) cells of two engine runs, so
+    # D(∅,2236) goes over the step limit before either runs. P({3,6,9},12)
+    # has 10,644,480 members, so its prefixes go over it.
     refused = (
-        lambda: pp.enumerate_descent_class(pp.DescentClassQuery((), 30)),
-        lambda: pp.enumerate_peak_class(pp.PeakClassQuery((3, 6, 9), 12)),
-        lambda: pp.parallel_count(pp.DescentClassQuery((), 30), 30),
+        (lambda: pp.enumerate_descent_class(pp.DescentClassQuery((), 2236)),
+         f"listing D({{}},2236) takes more than the limit of {pp.MAX_STEPS} steps"),
+        (lambda: pp.enumerate_peak_class(pp.PeakClassQuery((3, 6, 9), 12)),
+         f"listing P({{3,6,9}},12) takes 38312596 steps, over the limit of {pp.MAX_STEPS}"),
+        (lambda: pp.parallel_count(pp.DescentClassQuery((), 2236), 2236),
+         f"counting D({{}},2236) by prefixes of length 2236 takes more than the limit"),
     )
-    for request in refused:
+    for request, message in refused:
         start = time.perf_counter()
-        with pytest.raises(pp.CapExceeded,
-                           match=f"takes more than the limit of {pp.MAX_STEPS} steps"):
+        with pytest.raises(pp.CapExceeded, match=f"^{re.escape(message)}"):
             request()
         assert time.perf_counter() - start < 1.0
-    assert list(pp.enumerate_descent_class(pp.DescentClassQuery((), 16))) == \
-        [tuple(range(1, 17))]
+    # D(∅,n) has one member, so its walk enters n prefixes.
+    assert list(pp.enumerate_descent_class(pp.DescentClassQuery((), 30))) == \
+        [tuple(range(1, 31))]
+    assert pp.parallel_count(pp.DescentClassQuery((), 30), 30) == 1
     assert pp.parallel_count(pp.DescentClassQuery((1,), 13), 2) == 12
+
+
+def test_sparse_classes_list_on_many_values(rng):
+    # A search that enters every prefix right so far would enter 2^400 and
+    # 35,384,516 prefixes here; the walk enters only prefixes of members.
+    for s, n, size in (((), 400, 1), ((2, 4), 16, 8981)):
+        members = list(pp.enumerate_descent_class(pp.DescentClassQuery(s, n)))
+        assert len(members) == size == pp.count_descent_class(s, n)
+        assert members == sorted(set(members))
+        assert all(oracles.descents(p) == s for p in members)
+        listed = set(members)
+        assert all(oracles.sample_descent_class(s, n, rng) in listed for _ in range(40))
+
+
+def test_a_long_listing_needs_no_recursion():
+    limit = sys.getrecursionlimit()
+    assert list(pp.enumerate_descent_class(pp.DescentClassQuery((), limit))) == \
+        [tuple(range(1, limit + 1))]
 
 
 def test_count_matches_enumeration():
@@ -106,10 +139,10 @@ def test_descent_classes_partition_the_group():
 
 
 def test_peak_class_matches_oracle():
-    for n in range(1, 8):
+    for n in range(1, 9):
+        classes = classes_by_scan(n, oracles.peaks)
         for i in oracles.admissible_sets(n - 1):
-            q = pp.PeakClassQuery(i, n)
-            assert list(pp.enumerate_peak_class(q)) == oracles.peak_class(i, n)
+            assert list(pp.enumerate_peak_class(pp.PeakClassQuery(i, n))) == classes[i]
 
 
 def test_peak_class_golden():
@@ -141,7 +174,7 @@ def test_peak_poly_value():
         for i in oracles.admissible_sets(n - 1):
             assert pp.peak_poly_value(i, n) == oracles.p_value(i, n)
     # 2^(n-|I|-1) divides every |P(I,n)|, so a size of 3 at I = {2}, n = 5 is a bug.
-    with pytest.raises(ArithmeticError, match=r"\|P\(\[2\],5\)\| = 3 is not divisible by 2\^3"):
+    with pytest.raises(ArithmeticError, match=r"\|P\(\{2\},5\)\| = 3 is not divisible by 2\^3"):
         pp.scale_peak_count(3, (2,), 5)
 
 
@@ -181,8 +214,7 @@ def test_parallel_count_validation():
 
 
 def test_non_admissible_peak_class_is_empty_at_once():
-    # Listing P({20,21},30) would take more than MAX_STEPS steps; with no
-    # member to list, both routes answer before pricing it.
+    # P({20,21},30) has no member, so both routes answer before any engine run.
     query = pp.PeakClassQuery((20, 21), 30)
     start = time.perf_counter()
     assert list(pp.enumerate_peak_class(query)) == []

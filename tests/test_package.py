@@ -98,6 +98,29 @@ def test_validation_messages():
             make()
 
 
+def test_messages_spell_a_set_as_the_answers_do(capsys):
+    # One refusal from each layer outside verify: a set reads {2,3}, as in
+    # the answers, and never as a tuple or a list.
+    cases = [
+        (lambda: pp.canonical_descent_set((2, 3)), "not an admissible peak set: {2,3}"),
+        (lambda: pp.count_descent_class((2, 3, 7), 100000),
+         "counting D({2,3,7},100000) takes 5000050000 steps, over the limit of 5000000"),
+        (lambda: pp.enumerate_peak_class(pp.PeakClassQuery((3, 6, 9), 12)),
+         "listing P({3,6,9},12) takes 38312596 steps, over the limit of 5000000"),
+        (lambda: pp.descent_coeffs((2, 3, 7), 2000),
+         "computing d({2,3,7},n) at center 2000 takes 10007001 steps, over the limit of 5000000"),
+        (lambda: pp.moebius_terms((2, 3), 6), "not an admissible peak set: {2,3}"),
+        (lambda: pp.psi_set((1, 3, 2, 5, 4), (2, 3)),
+         "flip positions must be more than 1 apart: {2,3}"),
+    ]
+    for make, message in cases:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make()
+    from peakpoly.cli import run
+    assert run(["count", "peak", "2,3", "6"]) == 2
+    assert capsys.readouterr().err == "error: not an admissible peak set: {2,3}\n"
+
+
 def test_reprs():
     assert repr(pp.DescentClassQuery([3, 1], 5)) == "DescentClassQuery(descents=(1, 3), n=5)"
     assert repr(pp.PeakClassQuery((2,), 5)) == "PeakClassQuery(peaks=(2,), n=5)"

@@ -70,21 +70,49 @@ def test_partitioned_count_matches_depth_zero(case, peaks, data):
 
 
 @PROPERTY
+@given(sets_and_sizes(max_n=7), st.booleans(), st.data())
+def test_layers_count_each_state_and_sum_to_the_sizes(case, peaks, data):
+    positions, n = case
+    statistic = oracles.peaks if peaks else oracles.descents
+    depth = data.draw(st.integers(1, n), label="depth")
+    # A seed is a member of the class cut at its length, as parallel_count's are.
+    below = tuple(x for x in positions if x < depth)
+    cut = [p for p in oracles.perms(depth) if statistic(p) == below]
+    for prefix in [(1,)] + ([data.draw(st.sampled_from(cut), label="prefix")] if cut else []):
+        d = len(prefix)
+        layers = list(enumeration._layers(positions, peaks, n, prefix))
+        assert len(layers) == n - d + 1
+        for k, (rose, fell) in enumerate(layers, d):
+            want = {True: [0] * k, False: [0] * k}
+            for p in oracles.perms(k):
+                if (sorted(range(d), key=p.__getitem__) == sorted(range(d), key=prefix.__getitem__)
+                        and statistic(p) == tuple(x for x in positions if x < k)):
+                    want[k > 1 and p[-2] < p[-1]][p[-1] - 1] += 1
+            assert (rose, fell) == (want[True], want[False]), (prefix, k)
+        assert list(enumeration._sizes(positions, peaks, range(d, n + 1), prefix)) == \
+            [sum(rose) + sum(fell) for rose, fell in layers]
+
+
+@PROPERTY
 @given(sets_and_sizes(max_n=9), st.booleans())
-def test_listing_steps_count_the_visited_prefixes(case, peaks):
+def test_the_walk_enters_only_member_prefixes_within_its_price(case, peaks):
     positions, n = case
     query = (pp.PeakClassQuery if peaks else pp.DescentClassQuery)(positions, n)
-    arrangements = enumeration._arrangements
-    visited = 0
+    children = enumeration._children
+    asked = 0
 
     def counted(*args):
-        nonlocal visited
-        visited += 1
-        return arrangements(*args)
+        nonlocal asked
+        asked += 1
+        return children(*args)
 
-    with mock.patch.object(enumeration, "_arrangements", counted):
-        list(counted(query, (), tuple(range(1, n + 1))))
-    assert visited == enumeration._listing_steps(query, n)
+    with mock.patch.object(enumeration, "_children", counted):
+        members = list(enumeration._walk(query))
+    entered = asked - 1  # every entered prefix asks for its children, and so does ()
+    assert entered == len({p[:k] for p in members for k in range(1, n + 1)})
+    steps, size = enumeration._listing_price(query)
+    assert size == len(members)
+    assert entered <= steps - n * (n + 1)
 
 
 @st.composite
@@ -217,17 +245,16 @@ def test_recenter_matches_the_binomial_sums(coeffs, zeros, data):
         oracles.recenter_by_binomial_sums(coeffs, poly.center, other)
 
 
-def test_table_count_admits_every_table_the_prefix_count_admits():
+def test_a_table_prices_the_one_listing_it_reads():
     # The table's 2^m (m+h) steps, h = |D(S',m)| for S' = S_I inside
-    # [1,m-1], stay within 2^m times the prefixes of one listing on m
-    # values, so no table a pruned search per value set admits is refused.
+    # [1,m-1], cover the listing of D(S',m) that its rows relabel, so the
+    # step limit refuses a table by its own price, never by that listing's.
     for i_set in oracles.admissible_sets(8):
         s = pp.canonical_descent_set(i_set)
-        query = pp.DescentClassQuery(s, 13)  # the listings below stop at m
-        for m in range(max(i_set, default=0), 13):
+        for m in range(max(i_set, default=1), 16):
             head = tuple(p for p in s if p < m)
-            h = pp.count_descent_class(head, m) if m else 1
-            assert 2 ** m * (m + h) <= 2 ** m * enumeration._listing_steps(query, m), (i_set, m)
+            steps, h = enumeration._listing_price(pp.DescentClassQuery(head, m))
+            assert steps <= 2 ** m * (m + h), (i_set, m)
 
 
 def test_flip_table_is_the_filtered_descent_class():
