@@ -24,6 +24,7 @@ from . import enumeration, flips, polynomials, verify
 from .core import (
     Perm,
     Positions,
+    _perm_str,
     _set_str,
     as_permutation,
     canonical_descent_set,
@@ -86,12 +87,6 @@ def parse_permutation(text: str) -> Perm:
     else:
         raise ValueError(f"cannot parse permutation from {text!r}")
     return as_permutation(values)
-
-
-def _perm_str(p: Sequence[int]) -> str:
-    if all(v <= 9 for v in p):
-        return "".join(str(v) for v in p)
-    return ",".join(str(v) for v in p)
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,11 @@ def _set_str(positions: Iterable[int]) -> str:
     return "{" + ",".join(str(p) for p in positions) + "}"
 
 
+def _perm_str(p: Sequence[int]) -> str:
+    """A permutation as the answers print it: ``24315678``, ``10,2,…,9,1`` past 9."""
+    return ("" if all(v <= 9 for v in p) else ",").join(str(v) for v in p)
+
+
 def _digit_count(value: int) -> int:
     """Decimal digits of a positive int, without converting it to a string."""
     digits = int(value.bit_length() * math.log10(2)) + 1

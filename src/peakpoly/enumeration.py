@@ -27,50 +27,41 @@ from .core import (
 )
 
 
-def _positions_below(positions: Iterable[int], n: int, kind: str) -> Positions:
-    """The normalized ``positions``, once n is positive and above them all."""
-    positions = position_set(positions)
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    if positions and positions[-1] >= n:
-        raise ValueError(f"{kind} position {positions[-1]} needs n > {positions[-1]}, got n={n}")
-    return positions
+class _ClassQuery(Record):
+    """All permutations of n whose descent (peak, if ``_on_peaks``) set is the first field."""
+
+    __slots__ = ()
+
+    def __init__(self, positions: Iterable[int], n: int):
+        positions = position_set(positions)
+        if n < 1:
+            raise ValueError(f"n must be positive, got {n}")
+        if positions and positions[-1] >= n:
+            raise ValueError(f"{'peak' if self._on_peaks else 'descent'} position "
+                             f"{positions[-1]} needs n > {positions[-1]}, got n={n}")
+        self._set(positions, n)
+
+    @property
+    def positions(self) -> Positions:
+        """The positions the class fixes exactly: its descents or its peaks."""
+        return self._fields()[0]
 
 
-class DescentClassQuery(Record):
+class DescentClassQuery(_ClassQuery):
     """All permutations of n whose descent set is exactly ``descents``."""
 
     __slots__ = ("descents", "n")
     _on_peaks = False
 
-    def __init__(self, descents: Iterable[int], n: int):
-        self._set(_positions_below(descents, n, "descent"), n)
 
-    @property
-    def positions(self) -> Positions:
-        """The positions the class fixes exactly: its descents."""
-        return self.descents
-
-
-class PeakClassQuery(Record):
+class PeakClassQuery(_ClassQuery):
     """All permutations of n whose peak set is exactly ``peaks``."""
 
     __slots__ = ("peaks", "n")
     _on_peaks = True
 
-    def __init__(self, peaks: Iterable[int], n: int):
-        self._set(_positions_below(peaks, n, "peak"), n)
 
-    @property
-    def positions(self) -> Positions:
-        """The positions the class fixes exactly: its peaks."""
-        return self.peaks
-
-
-Query = DescentClassQuery | PeakClassQuery
-
-
-def _name(query: Query) -> str:
+def _name(query: _ClassQuery) -> str:
     return f"{'P' if query._on_peaks else 'D'}({_set_str(query.positions)},{query.n})"
 
 
@@ -125,7 +116,7 @@ def _sizes(positions: Positions, peaks: bool, lengths: range,
 # Listing
 # ---------------------------------------------------------------------------
 
-def _listing_price(query: Query) -> tuple[float, int]:
+def _listing_price(query: _ClassQuery) -> tuple[float, int]:
     """The steps of listing ``query``'s class, and its size: the cells of two
     engine runs to n, this one and ``_walk``'s, plus the prefixes the walk
     enters, at depth k at most the class size and at most C(n,k) value sets
@@ -146,7 +137,7 @@ def _children(live: list, rank: int, ok: tuple[bool, bool]) -> list:
         + ([(r, ok_fall) for r in falls[bisect.bisect_left(falls, rank):]] if ok[1] else [])
 
 
-def _walk(query: Query) -> Iterator[Perm]:
+def _walk(query: _ClassQuery) -> Iterator[Perm]:
     """The members of ``query``'s class in lex order, walking one ``_layers``
     run on the reversed pattern down from length n with an explicit stack.
 
@@ -248,7 +239,7 @@ def peak_poly_value(i: Iterable[int], n: int) -> int:
     return scale_peak_count(count_peak_class(i, n), i, n)
 
 
-def parallel_count(query: Query, partition_depth: int = 0) -> int:
+def parallel_count(query: _ClassQuery, partition_depth: int = 0) -> int:
     """Exact class size as a sum of independent per-prefix counts.
 
     The members of the class cut at length ``partition_depth``, the
@@ -257,7 +248,7 @@ def parallel_count(query: Query, partition_depth: int = 0) -> int:
     bound its cost. The result does not depend on the depth, which
     makes it a check of the engine.
     """
-    if not isinstance(query, (DescentClassQuery, PeakClassQuery)):
+    if not isinstance(query, _ClassQuery):
         raise TypeError(f"unsupported query type: {type(query).__name__}")
     n = query.n
     if not 0 <= partition_depth <= n:

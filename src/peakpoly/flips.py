@@ -12,6 +12,7 @@ from typing import Iterable, Sequence
 from .core import (
     Perm,
     Record,
+    _perm_str,
     _set_str,
     check_cost,
     position_set,
@@ -58,7 +59,7 @@ def _removals(p: Sequence[int], i: int) -> tuple[Perm | None, Perm | None]:
     the spike at i and no other. A flip turns every step below it, so the flip at i
     must keep the step at i, and the flip at i-1 must turn the step at i-1."""
     if not (1 < i < len(p) and (p[i - 2] < p[i - 1]) != (p[i - 1] < p[i])):
-        raise ValueError(f"position {i} is not a spike of {p}")
+        raise ValueError(f"position {i} is not a spike of {_perm_str(p)}")
     plus, minus = fl(p, i), fl(p, i - 1)
     return (plus if (plus[i - 1] > p[i]) == (p[i - 1] > p[i]) else None,
             minus if (minus[i - 2] > p[i - 1]) != (p[i - 2] > p[i - 1]) else None)
@@ -97,7 +98,7 @@ def psi(p: Sequence[int], i: int) -> Perm:
     plus, minus = _removals(p, i)
     image = plus or minus
     if image is None:
-        raise ValueError(f"{tuple(p)} admits no {i}-flip")
+        raise ValueError(f"{_perm_str(p)} admits no {i}-flip")
     return image
 
 
@@ -114,7 +115,7 @@ def psi_set(p: Sequence[int], positions: Iterable[int]) -> Perm:
         raise ValueError(f"flip positions must be more than 1 apart: {_set_str(js)}")
     spikes = set(spike_set(p))
     if not set(js) <= spikes:
-        raise ValueError(f"{_set_str(sorted(set(js) - spikes))} are not spikes of {tuple(p)}")
+        raise ValueError(f"{_set_str(sorted(set(js) - spikes))} are not spikes of {_perm_str(p)}")
     result = tuple(p)
     for j in reversed(js):
         result = psi(result, j)

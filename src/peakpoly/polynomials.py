@@ -31,9 +31,11 @@ from .core import (
 from .enumeration import (
     DescentClassQuery,
     PeakClassQuery,
+    _listing_price,
+    _name,
     _sizes,
+    _walk,
     count_descent_class,
-    enumerate_descent_class,
     peak_poly_value,
     scale_peak_count,
 )
@@ -146,15 +148,16 @@ def _interval_blocks(s: Positions, m: int, ks: range, what: str) -> list[list[Pe
 
     A row's last m entries increase and its first m are a member of D(S',m),
     S' = S ∩ [1,m-1], relabelled onto low ∪ [m+1,m+k] for an (m-k)-subset low
-    of [m]. D(S',m) is listed once, after its own check and this pricing: block k
-    relabels its h = |D(S',m)| members onto C(m,k) value sets, C(m,k)·(m+h) steps.
+    of [m]. One pricing run gives h = |D(S',m)|, then one walk lists D(S',m):
+    block k relabels its h members onto C(m,k) value sets, C(m,k)·(m+h) steps.
     """
     if not m:
         return [[()]]
-    head_set = tuple(p for p in s if p < m)
-    heads = enumerate_descent_class(DescentClassQuery(head_set, m))
-    check_cost(sum(math.comb(m, k) for k in ks) * (m + count_descent_class(head_set, m)), what)
-    heads = list(heads)
+    q = DescentClassQuery((p for p in s if p < m), m)
+    steps, h = _listing_price(q)
+    check_cost(steps, f"listing {_name(q)}")
+    check_cost(sum(math.comb(m, k) for k in ks) * (m + h), what)
+    heads = list(_walk(q))
     board = set(range(1, 2 * m + 1))
     blocks = []
     for k in ks:
@@ -170,8 +173,8 @@ def _interval_blocks(s: Positions, m: int, ks: range, what: str) -> list[list[Pe
 
 def prefix_interval_class(s: Iterable[int], m: int, k: int) -> Iterator[Perm]:
     """Members of D(S,2m) whose first m values meet [m+1,2m] in exactly [m+1,m+k],
-    in lexicographic order: C(m,k)·(m+h) steps, h = |D(S ∩ [1,m-1], m)|.
-    """
+    in lexicographic order: one pricing run gives h = |D(S ∩ [1,m-1], m)|, then
+    one walk lists that class; C(m,k)·(m+h) steps."""
     s = _at_center(s, m, peaks=False)
     if not 0 <= k <= m:
         raise ValueError(f"k must be in 0..{m}, got {k}")
@@ -302,10 +305,15 @@ def flip_admission_table(i_set: Iterable[int], m: int) -> FlipTable:
 
 def spike_terms(s: Iterable[int], n: int) -> list[tuple[Positions, int]]:
     """The terms (J, p(J,n)) of d(S,n) over the admissible subsets J of the
-    spikes of S, by size and then lexicographically; one engine count each."""
+    spikes of S, by size and then lexicographically; one engine count each,
+    priced before any run: a spike next to the previous one joins only the
+    subsets that miss it."""
     s = position_set(s, n)
     spikes = spikes_of(s, n)
-    check_cost(2 ** len(spikes) * n * (n + 1) // 2, f"expanding d({_set_str(s)},{n}) over spikes")
+    subsets, missing_last = 1, 1
+    for last, i in zip((0, *spikes), spikes):
+        subsets, missing_last = subsets + (missing_last if i - last == 1 else subsets), subsets
+    check_cost(subsets * n * (n + 1) // 2, f"expanding d({_set_str(s)},{n}) over spikes")
     return [(subset, peak_poly_value(subset, n))
             for r in range(len(spikes) + 1)
             for subset in itertools.combinations(spikes, r) if is_admissible(subset)]

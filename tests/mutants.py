@@ -63,6 +63,11 @@ MUTANTS = {
         "{n - i for i in query.positions}"),
     "listing price drops the value sets": (
         "enumeration.py", "min(sizes[-1], math.comb(n, k) * size)", "min(sizes[-1], size)"),
+    "expand prices every spike subset": (
+        "polynomials.py", "subsets + (missing_last if i - last == 1 else subsets)",
+        "subsets + subsets"),
+    "table price drops h": (
+        "polynomials.py", "* (m + h), what)", "* m, what)"),
 }
 
 

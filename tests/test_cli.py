@@ -1,4 +1,6 @@
 import json
+import math
+import re
 import subprocess
 import sys
 import time
@@ -118,6 +120,18 @@ def test_expand(capsys):
     values = {tuple(t["spikes"]): int(t["value"]) for t in data["terms"]}
     assert values == {(): 1, (2,): 6, (4,): 34, (2, 4): 44}
     assert sum(values.values()) == 85
+
+
+@pytest.mark.parametrize("argv", [["5", "1582"], ["2,4,6,8,10", "120"]])
+def test_expand_is_priced_by_the_subsets_it_counts(argv, capsys):
+    # 3 and 144 admissible spike subsets fit the step limit; all 4 and 1024
+    # subsets (5,008,612 and 7,434,240 steps) would not.
+    assert run(["expand", *argv, "--format", "json"]) == 0
+    data = json.loads(out_of(capsys))
+    assert run(["count", "descent", *argv, "--format", "json"]) == 0
+    count = json.loads(out_of(capsys))["count"]
+    assert sum(int(t["value"]) for t in data["terms"]) == int(data["descent_count"]) == int(count)
+    assert len(data["terms"]) == {"5": 3, "2,4,6,8,10": 144}[argv[0]]
 
 
 def test_moebius(capsys):
@@ -298,6 +312,20 @@ def test_env_cap_is_ignored(capsys, monkeypatch):
     assert run(["table1", "--set", "2,4", "--center", "5"]) == 0
     monkeypatch.setenv("PEAKPOLY_CAP", "junk")
     assert run(["count", "peak", "2,4", "8"]) == 0
+
+
+def test_tables_and_blocks_are_priced_by_their_head_class():
+    # 2^m·(m+h) steps for the table of D({2,3},2m), C(m,k)·(m+h) for block k,
+    # with h = |D({2,3},m)| by the chain count; both over the limit here.
+    for m, value_sets, build, what in (
+            (20, 2 ** 20, lambda: pp.flip_admission_table((2, 4), 20),
+             "building the flip-admission table of D({2,3},40)"),
+            (24, math.comb(24, 12), lambda: pp.prefix_interval_class((2, 3), 24, 12),
+             "listing block 12 of D({2,3},48)")):
+        steps = value_sets * (m + oracles.chain_descent_count((2, 3), m))
+        with pytest.raises(pp.CapExceeded, match=re.escape(
+                f"{what} takes {steps} steps, over the limit of {pp.MAX_STEPS}")):
+            build()
 
 
 def test_step_limit_refuses_at_once(capsys):

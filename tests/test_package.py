@@ -121,6 +121,21 @@ def test_messages_spell_a_set_as_the_answers_do(capsys):
     assert capsys.readouterr().err == "error: not an admissible peak set: {2,3}\n"
 
 
+def test_messages_spell_a_permutation_as_the_answers_do():
+    # The flips messages write a permutation as the answers do: 24315678,
+    # with commas past 9, never as a tuple or a list.
+    cases = [
+        (lambda: pp.admits_flip([1, 2, 3], 2), "position 2 is not a spike of 123"),
+        (lambda: pp.admits_flip(range(1, 11), 2),
+         "position 2 is not a spike of 1,2,3,4,5,6,7,8,9,10"),
+        (lambda: pp.psi((2, 4, 3, 1, 5, 6, 7, 8), 2), "24315678 admits no 2-flip"),
+        (lambda: pp.psi_set([1, 2, 3, 4], (2,)), "{2} are not spikes of 1234"),
+    ]
+    for make, message in cases:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make()
+
+
 def test_reprs():
     assert repr(pp.DescentClassQuery([3, 1], 5)) == "DescentClassQuery(descents=(1, 3), n=5)"
     assert repr(pp.PeakClassQuery((2,), 5)) == "PeakClassQuery(peaks=(2,), n=5)"

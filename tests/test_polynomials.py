@@ -5,7 +5,7 @@ import time
 import pytest
 
 import peakpoly as pp
-from peakpoly import polynomials
+from peakpoly import enumeration, polynomials
 
 import oracles
 
@@ -130,6 +130,19 @@ def test_prefix_interval_class_matches_filter():
                     ]
                     got = list(pp.prefix_interval_class(s, m, k))
                     assert got == want
+
+
+def test_a_table_and_a_block_run_the_engine_twice(monkeypatch):
+    # One run prices the head class D(S ∩ [1,m-1], m) and gives its size h,
+    # and one walk lists it; the table's price reads that h.
+    runs = []
+    layers = enumeration._layers
+    monkeypatch.setattr(enumeration, "_layers", lambda *args: runs.append(args) or layers(*args))
+    for build in (lambda: pp.flip_admission_table((2, 4), 4),
+                  lambda: list(pp.prefix_interval_class((2, 3), 4, 2))):
+        runs.clear()
+        build()
+        assert len(runs) == 2
 
 
 def test_prefix_interval_class_golden():

@@ -16,7 +16,7 @@ from unittest import mock
 from hypothesis import given, settings, strategies as st
 
 import peakpoly as pp
-from peakpoly import enumeration, flips
+from peakpoly import enumeration, flips, polynomials
 
 import oracles
 
@@ -113,6 +113,21 @@ def test_the_walk_enters_only_member_prefixes_within_its_price(case, peaks):
     steps, size = enumeration._listing_price(query)
     assert size == len(members)
     assert entered <= steps - n * (n + 1)
+
+
+@PROPERTY
+@given(sets_and_sizes(max_n=14))
+def test_spike_terms_are_priced_by_the_subsets_they_count(case):
+    # One engine count of n(n+1)/2 cells per admissible subset of the spikes,
+    # not one per subset: adjacent spikes never share a subset.
+    s, n = case
+    spikes = oracles.set_spikes(s, n)
+    admissible = [j for j in oracles.admissible_sets(n) if set(j) <= set(spikes)]
+    prices = []
+    with mock.patch.object(polynomials, "check_cost", lambda steps, what: prices.append(steps)):
+        terms = polynomials.spike_terms(s, n)
+    assert prices == [len(admissible) * n * (n + 1) // 2]
+    assert [j for j, _ in terms] == sorted(admissible, key=lambda j: (len(j), j))
 
 
 @st.composite
