@@ -161,16 +161,19 @@ def _cmd_count(args: SimpleNamespace) -> Output:
 def _cmd_expand(args: SimpleNamespace) -> Output:
     s = parse_positions(args.set)
     n = args.n
-    total = enumeration.count_descent_class(s, n)
+    enumeration.DescentClassQuery(s, n)  # refuses n < 1 and n <= max(S)
     spikes = spikes_of(s, n)
     terms = polynomials.spike_terms(s, n)
+    # d(S,n) is the sum of its terms: the identity this command prints, which
+    # verify's spike-sum claim and the tests check against a count of d.
+    total = sum(v for _, v in terms)
     payload = {
         "set": list(s), "n": n, "spikes": list(spikes), "descent_count": str(total),
         "terms": [{"spikes": list(sub), "value": str(v)} for sub, v in terms],
     }
     text = [f"d({_set_str(s)},{n}) = {total}, spikes {_set_str(spikes)}"]
     text += [f"  p({_set_str(subset)},{n}) = {value}" for subset, value in terms]
-    text.append(f"  sum = {sum(v for _, v in terms)}")
+    text.append(f"  sum = {total}")
     return Output(payload, ("spikes", "value"),
                   [(_set_str(sub), v) for sub, v in terms] + [("total", total)], text)
 

@@ -69,6 +69,11 @@ def _name(query: _ClassQuery) -> str:
 # The engine
 # ---------------------------------------------------------------------------
 
+def _cells(n: int) -> int:
+    """The cells of one engine run to length n: k at each length k, so n(n+1)/2."""
+    return n * (n + 1) // 2
+
+
 def _plus(xs: list[int], ys: list[int]) -> list[int]:
     """Entrywise xs + ys, passing a zero side through: adding 0 copies a big integer."""
     if not any(ys):
@@ -86,7 +91,7 @@ def _layers(positions: Collection[int], peaks: bool, n: int,
     ``peaks``) or descents, and end in each rank r, as (rose, fell) by the
     last step. After k entries the next, of rank r' in 0..k, rises iff
     r' > r and decides position k. Prefix sums make each step linear, so
-    length n fills n(n+1)/2 cells."""
+    length n fills ``_cells(n)``."""
     d = len(prefix)
     rose, fell = [0] * d, [0] * d
     (rose if d > 1 and prefix[-2] < prefix[-1] else fell)[prefix[-1] - 1] = 1
@@ -122,10 +127,10 @@ def _listing_price(query: _ClassQuery) -> tuple[float, int]:
     enters, at depth k at most the class size and at most C(n,k) value sets
     times the class cut at length k. With more than MAX_STEPS cells, math.inf."""
     n = query.n
-    if n * (n + 1) > MAX_STEPS:
+    if 2 * _cells(n) > MAX_STEPS:
         return math.inf, 0
     sizes = list(_sizes(query.positions, query._on_peaks, range(1, n + 1)))
-    return n * (n + 1) + sum(min(sizes[-1], math.comb(n, k) * size)
+    return 2 * _cells(n) + sum(min(sizes[-1], math.comb(n, k) * size)
                              for k, size in enumerate(sizes, 1)), sizes[-1]
 
 
@@ -194,15 +199,20 @@ def enumerate_peak_class(q: PeakClassQuery) -> Iterator[Perm]:
 # Exact counts
 # ---------------------------------------------------------------------------
 
+def _count(query: _ClassQuery) -> int:
+    """The size of ``query``'s class at length n of one forward engine run,
+    priced at its ``_cells(n)``; CapExceeded when they pass MAX_STEPS."""
+    check_cost(_cells(query.n), f"counting {_name(query)}")
+    return next(_sizes(query.positions, query._on_peaks, range(query.n, query.n + 1)))
+
+
 def count_descent_class(s: Iterable[int], n: int) -> int:
     """|D(S,n)| at length n of one forward engine run; exact for any n.
 
     Costs n(n+1)/2 engine cells of big-integer additions whatever the
     size of S; CapExceeded when they pass MAX_STEPS.
     """
-    q = DescentClassQuery(s, n)
-    check_cost(q.n * (q.n + 1) // 2, f"counting {_name(q)}")
-    return next(_sizes(q.positions, q._on_peaks, range(q.n, q.n + 1)))
+    return _count(DescentClassQuery(s, n))
 
 
 def scale_peak_count(size: int, i: Positions, n: int) -> int:
@@ -225,9 +235,7 @@ def count_peak_class(i: Iterable[int], n: int) -> int:
     Costs n(n+1)/2 engine cells; CapExceeded when they pass MAX_STEPS.
     A non-admissible I gives 0: no permutation realizes it.
     """
-    q = PeakClassQuery(i, n)
-    check_cost(q.n * (q.n + 1) // 2, f"counting {_name(q)}")
-    return next(_sizes(q.positions, q._on_peaks, range(q.n, q.n + 1)))
+    return _count(PeakClassQuery(i, n))
 
 
 def peak_poly_value(i: Iterable[int], n: int) -> int:
@@ -258,7 +266,7 @@ def parallel_count(query: _ClassQuery, partition_depth: int = 0) -> int:
     depth = max(partition_depth, 1)  # the empty prefix runs from the one of length 1
     cut = type(query)([p for p in query.positions if p < depth], depth)
     steps, size = _listing_price(cut)
-    check_cost(steps + size * (n * (n + 1) // 2),
+    check_cost(steps + size * _cells(n),
                f"counting {_name(query)} by prefixes of length {partition_depth}")
     return sum(next(_sizes(query.positions, query._on_peaks, range(n, n + 1), prefix))
                for prefix in _walk(cut))

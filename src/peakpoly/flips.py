@@ -65,10 +65,17 @@ def _removals(p: Sequence[int], i: int) -> tuple[Perm | None, Perm | None]:
             minus if (minus[i - 2] > p[i - 1]) != (p[i - 2] > p[i - 1]) else None)
 
 
+def _pass_entries(n: int, spikes: int) -> int:
+    """The entries of a flip pass over a permutation of n with ``spikes`` spikes:
+    ``_removals`` builds two flips of n entries at each, 2·n per spike."""
+    return 2 * n * spikes
+
+
 def _spike_removals(p: Sequence[int]) -> dict[int, tuple[Perm | None, Perm | None]]:
-    """``_removals`` at every spike of ``p``, keyed by position: 2·n steps per spike."""
+    """``_removals`` at every spike of ``p``, keyed by position, priced by ``_pass_entries``."""
     spikes = spike_set(p)
-    check_cost(2 * len(p) * len(spikes), f"building the flips of a permutation of {len(p)}")
+    check_cost(_pass_entries(len(p), len(spikes)),
+               f"building the flips of a permutation of {len(p)}")
     return {i: _removals(p, i) for i in spikes}
 
 

@@ -31,6 +31,7 @@ from .core import (
 from .enumeration import (
     DescentClassQuery,
     PeakClassQuery,
+    _cells,
     _listing_price,
     _name,
     _sizes,
@@ -143,20 +144,23 @@ class BinomialPolynomial(Record):
 # Coefficient extraction
 # ---------------------------------------------------------------------------
 
-def _interval_blocks(s: Positions, m: int, ks: range, what: str) -> list[list[Perm]]:
+def _interval_blocks(s: Positions, m: int, ks: range, what: str,
+                     row_entries: int = 0) -> list[list[Perm]]:
     """Blocks k in ``ks`` of ``prefix_interval_class(S, m, k)``, S inside [1,m].
 
     A row's last m entries increase and its first m are a member of D(S',m),
     S' = S ∩ [1,m-1], relabelled onto low ∪ [m+1,m+k] for an (m-k)-subset low
     of [m]. One pricing run gives h = |D(S',m)|, then one walk lists D(S',m):
     block k relabels its h members onto C(m,k) value sets, C(m,k)·(m+h) steps.
+    The caller's pass of ``row_entries`` on each row joins that price in
+    ``_blocks_price``, checked before the walk.
     """
     if not m:
         return [[()]]
     q = DescentClassQuery((p for p in s if p < m), m)
     steps, h = _listing_price(q)
     check_cost(steps, f"listing {_name(q)}")
-    check_cost(sum(math.comb(m, k) for k in ks) * (m + h), what)
+    check_cost(_blocks_price(s, m, ks, h, row_entries), what)
     heads = list(_walk(q))
     board = set(range(1, 2 * m + 1))
     blocks = []
@@ -169,6 +173,17 @@ def _interval_blocks(s: Positions, m: int, ks: range, what: str) -> list[list[Pe
                       if (values[head[-1] - 1] > tail[0]) == (m in s)]
         blocks.append(sorted(block))
     return blocks
+
+
+def _blocks_price(s: Positions, m: int, ks: range, h: int, entries: int) -> int:
+    """The steps of blocks ``ks``: C(m,k)·(m+h) to relabel h heads for block k,
+    and with ``entries``, a pass of them on each of its c_k rows, c =
+    ``descent_coeffs(S, m)``, whose run is priced too."""
+    steps = sum(math.comb(m, k) for k in ks) * (m + h)
+    if entries:
+        coeffs = descent_coeffs(s, m).coeffs
+        steps += _values_price(m) + entries * sum(coeffs[k] for k in ks)
+    return steps
 
 
 def prefix_interval_class(s: Iterable[int], m: int, k: int) -> Iterator[Perm]:
@@ -195,16 +210,21 @@ def _at_center(positions: Iterable[int], m: int, *, peaks: bool) -> Positions:
     return positions
 
 
+def _values_price(m: int) -> int:
+    """The steps of ``_from_values`` at center m: the cells of one engine run
+    to length 2m+1 and the m(m+1)/2 differences of its m+1 sizes."""
+    return _cells(2 * m + 1) + math.comb(m + 1, 2)
+
+
 def _from_values(positions: Iterable[int], m: int, *, peaks: bool) -> BinomialPolynomial:
-    """d(S,n), or p(I,n) with ``peaks``, at center m, from one engine run
-    to length 2m+1: its (2m+1)(m+1) cells and the m(m+1)/2 differences
-    of the values at n = m+1, ..., 2m+1.
+    """d(S,n), or p(I,n) with ``peaks``, at center m, from one engine run's
+    sizes at n = m+1, ..., 2m+1 and their differences (``_values_price``).
 
     The k-th forward difference at n = m+1 is the coefficient of C(n-m-1, k);
     with c_(m+1) = 0, as the degree is at most m, they give center m+1.
     """
     positions = _at_center(positions, m, peaks=peaks)
-    check_cost((2 * m + 1) * (m + 1) + m * (m + 1) // 2,
+    check_cost(_values_price(m),
                f"computing {'p' if peaks else 'd'}({_set_str(positions)},n) at center {m}")
     values = list(_sizes(positions, peaks, range(m + 1, 2 * m + 2)))
     if peaks:
@@ -288,14 +308,18 @@ def flip_admission_table(i_set: Iterable[int], m: int) -> FlipTable:
 
     The rows of block k are ``prefix_interval_class(S_I, m, k)``, in lex
     order, all from one listing: 2^m·(m+h) steps, h = |D(S_I ∩ [1,m-1], m)|.
+    Each row's ``flip_profile`` builds two flips of 2m entries at each spike
+    of S_I; the price adds that pass on every row, the rows counted as the
+    sum of ``descent_coeffs(S_I, m)``, and that count's own price.
     """
     i_set = _at_center(i_set, m, peaks=True)
     s = canonical_descent_set(i_set)
     what = f"building the flip-admission table of D({_set_str(s)},{2 * m})"
+    entries = flips._pass_entries(2 * m, len(spikes_of(s, 2 * m)))
     return FlipTable(i_set, m, tuple(
         tuple(FlipTableRow(sigma, tuple(a.admits for a in flips.flip_profile(sigma).values()))
               for sigma in block)
-        for block in _interval_blocks(s, m, range(m + 1), what)
+        for block in _interval_blocks(s, m, range(m + 1), what, entries)
     ))
 
 
@@ -313,7 +337,7 @@ def spike_terms(s: Iterable[int], n: int) -> list[tuple[Positions, int]]:
     subsets, missing_last = 1, 1
     for last, i in zip((0, *spikes), spikes):
         subsets, missing_last = subsets + (missing_last if i - last == 1 else subsets), subsets
-    check_cost(subsets * n * (n + 1) // 2, f"expanding d({_set_str(s)},{n}) over spikes")
+    check_cost(subsets * _cells(n), f"expanding d({_set_str(s)},{n}) over spikes")
     return [(subset, peak_poly_value(subset, n))
             for r in range(len(spikes) + 1)
             for subset in itertools.combinations(spikes, r) if is_admissible(subset)]
@@ -334,7 +358,7 @@ def moebius_terms(i_set: Iterable[int], n: int) -> list[tuple[Positions, Positio
     if not is_admissible(i_set):
         raise ValueError(f"not an admissible peak set: {_set_str(i_set)}")
     PeakClassQuery(i_set, n)  # refuses n < 1 and n <= max(I)
-    check_cost(2 ** len(i_set) * n * (n + 1) // 2, f"inverting p({_set_str(i_set)},{n}) over subsets")
+    check_cost(2 ** len(i_set) * _cells(n), f"inverting p({_set_str(i_set)},{n}) over subsets")
     terms = []
     for r in range(len(i_set) + 1):
         sign = -1 if (len(i_set) - r) % 2 else 1

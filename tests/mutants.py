@@ -67,7 +67,15 @@ MUTANTS = {
         "polynomials.py", "subsets + (missing_last if i - last == 1 else subsets)",
         "subsets + subsets"),
     "table price drops h": (
-        "polynomials.py", "* (m + h), what)", "* m, what)"),
+        "polynomials.py", "* (m + h)", "* m"),
+    "expand counts d outside its price": (
+        "cli.py", "total = sum(v for _, v in terms)",
+        "total = enumeration.count_descent_class(s, n)"),
+    "table price drops its flip pass": (
+        "polynomials.py", "steps += _values_price(m) + entries * sum(coeffs[k] for k in ks)",
+        "steps += _values_price(m)"),
+    "engine cells off by one": (
+        "enumeration.py", "return n * (n + 1) // 2", "return n * (n - 1) // 2"),
 }
 
 

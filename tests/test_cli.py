@@ -1,5 +1,7 @@
+import collections
 import json
 import math
+import random
 import re
 import subprocess
 import sys
@@ -9,7 +11,7 @@ import pytest
 
 import oracles
 import peakpoly as pp
-from peakpoly import flips
+from peakpoly import enumeration, flips, polynomials
 from peakpoly.cli import CLAIMS, COMMANDS, parse_permutation, parse_positions, run
 
 
@@ -123,10 +125,23 @@ def test_expand(capsys):
 
 
 @pytest.mark.parametrize("argv", [["5", "1582"], ["2,4,6,8,10", "120"]])
-def test_expand_is_priced_by_the_subsets_it_counts(argv, capsys):
+def test_expand_is_priced_by_the_subsets_it_counts(argv, capsys, monkeypatch):
     # 3 and 144 admissible spike subsets fit the step limit; all 4 and 1024
-    # subsets (5,008,612 and 7,434,240 steps) would not.
+    # subsets (5,008,612 and 7,434,240 steps) would not. Each takes one engine
+    # run to n and no other: d(S,n) is the sum of the terms.
+    work, layers = collections.Counter(), enumeration._layers
+
+    def counted(*args):
+        work["runs"] += 1
+        for state in layers(*args):
+            work["cells"] += len(state[0])
+            yield state
+
+    monkeypatch.setattr(enumeration, "_layers", counted)
     assert run(["expand", *argv, "--format", "json"]) == 0
+    assert work == {"5": collections.Counter(runs=3, cells=3756459),
+                    "2,4,6,8,10": collections.Counter(runs=144, cells=1045440)}[argv[0]]
+    monkeypatch.undo()
     data = json.loads(out_of(capsys))
     assert run(["count", "descent", *argv, "--format", "json"]) == 0
     count = json.loads(out_of(capsys))["count"]
@@ -317,12 +332,19 @@ def test_env_cap_is_ignored(capsys, monkeypatch):
 def test_tables_and_blocks_are_priced_by_their_head_class():
     # 2^m·(m+h) steps for the table of D({2,3},2m), C(m,k)·(m+h) for block k,
     # with h = |D({2,3},m)| by the chain count; both over the limit here.
-    for m, value_sets, build, what in (
+    # The table adds the flips of its 2 spikes, 4m entries each, on every
+    # row, and the (2m+1)(m+1) cells and m(m+1)/2 differences that count its
+    # rows: the sum of the coefficients c_k = Δ^k d({2,3},m), here by the chain count.
+    chain = oracles.chain_descent_count
+    rows = sum((-1) ** (k - j) * math.comb(k, j) * chain((2, 3), 20 + j)
+               for k in range(21) for j in range(k + 1))
+    for m, value_sets, build, what, passes in (
             (20, 2 ** 20, lambda: pp.flip_admission_table((2, 4), 20),
-             "building the flip-admission table of D({2,3},40)"),
+             "building the flip-admission table of D({2,3},40)",
+             41 * 21 + 20 * 21 // 2 + rows * 2 * 4 * 20),
             (24, math.comb(24, 12), lambda: pp.prefix_interval_class((2, 3), 24, 12),
-             "listing block 12 of D({2,3},48)")):
-        steps = value_sets * (m + oracles.chain_descent_count((2, 3), m))
+             "listing block 12 of D({2,3},48)", 0)):
+        steps = value_sets * (m + chain((2, 3), m)) + passes
         with pytest.raises(pp.CapExceeded, match=re.escape(
                 f"{what} takes {steps} steps, over the limit of {pp.MAX_STEPS}")):
             build()
@@ -331,10 +353,14 @@ def test_tables_and_blocks_are_priced_by_their_head_class():
 def test_step_limit_refuses_at_once(capsys):
     odd = ",".join(map(str, range(1, 30, 2)))
     # flips takes 2·n steps per spike: 2·1584·1582 = 5011776 is over the limit.
+    # expand counts d(S,3000) only as the sum of its terms, so it refuses before
+    # any engine run; table1 --set 3,6,9 builds 7,506,432 flip entries.
     for argv in (["table1", "--set", "2,4", "--center", "14"],
+                 ["table1", "--set", "3,6,9"],
                  ["count", "descent", "2,3,7", "100000"],
                  ["moebius", ",".join(map(str, range(2, 41, 2))), "50"],
                  ["expand", odd, "40"],
+                 ["expand", ",".join(map(str, range(3, 1400, 3))), "3000"],
                  ["flips", ",".join(map(str, oracles.alternating(1584)))]):
         start = time.perf_counter()
         assert run(argv) == 2
@@ -347,6 +373,91 @@ def test_step_limit_refuses_at_once(capsys):
     # 2m = 14 and a center of 41 are well inside the step limit.
     assert run(["peak-poly", "2,4", "--center", "7"]) == 0
     assert run(["descent-poly", "1,5,40"]) == 0
+
+
+def _random_routes(rng):
+    """Seeded argvs of every priced route, each inside the step limit."""
+    def subset(top):
+        return sorted(rng.sample(range(1, top + 1), rng.randint(1, min(top, 4))))
+
+    def peaks(top):  # admissible: no 1, no two adjacent
+        chosen = subset(top)
+        return [p for p in chosen if p > 1 and p - 1 not in chosen]
+
+    def arg(positions):
+        return ",".join(map(str, positions)) or "-"
+
+    for _ in range(4):
+        n = rng.randint(2, 40)
+        yield ["count", "descent", arg(subset(n - 1)), str(n)]
+        yield ["count", "peak", arg(peaks(n - 1)), str(n)]
+        n = rng.randint(4, 30)
+        yield ["moebius", arg(peaks(min(n - 1, 7))), str(n)]
+        yield ["expand", arg(subset(n - 1)), str(n)]
+        s, i = subset(8), peaks(8)
+        yield ["descent-poly", arg(s), "--center", str(max(s, default=0) + rng.randint(0, 3))]
+        yield ["peak-poly", arg(i), "--center", str(max(i, default=0) + rng.randint(0, 3))]
+        yield ["flips", ",".join(map(str, oracles.random_perm(rng, rng.randint(1, 30))))]
+        i = peaks(6)
+        yield ["table1", "--set", arg(i), "--center", str(max(i, default=1) + rng.randint(0, 1))]
+
+
+def test_every_route_runs_the_work_it_priced(monkeypatch, capsys):
+    # Engine cells are the lengths of the states `_layers` yields, flip
+    # entries 2·n per `_removals` call, listing prefixes the children the
+    # walk enters. Each must match its part of the route's price, read off
+    # the checks the route makes before its work: exactly for cells and
+    # entries, as a bound for prefixes.
+    work, checks = collections.Counter(), []
+    layers, removals, children = enumeration._layers, flips._removals, enumeration._children
+
+    def counted_layers(*args):
+        for state in layers(*args):
+            work["cells"] += len(state[0])
+            yield state
+
+    def counted_removals(p, i):
+        work["entries"] += 2 * len(p)
+        return removals(p, i)
+
+    def counted_children(*args):
+        entered = children(*args)
+        work["prefixes"] += len(entered)
+        return entered
+
+    monkeypatch.setattr(enumeration, "_layers", counted_layers)
+    monkeypatch.setattr(enumeration, "_children", counted_children)
+    monkeypatch.setattr(flips, "_removals", counted_removals)
+    for module in (enumeration, polynomials, flips):
+        monkeypatch.setattr(module, "check_cost",
+                            lambda steps, what, check=module.check_cost:
+                            checks.append(steps) or check(steps, what))
+
+    def cells(n):
+        return n * (n + 1) // 2
+
+    for argv in _random_routes(random.Random(2018)):
+        work.clear()
+        checks.clear()
+        assert run(argv) == 0, argv
+        out_of(capsys)
+        price = checks[0]
+        if argv[0] in ("count", "moebius", "expand"):
+            assert work == collections.Counter(cells=price), argv
+        elif argv[0] in ("descent-poly", "peak-poly"):
+            m = int(argv[-1])
+            assert work == collections.Counter(cells=price - m * (m + 1) // 2), argv
+        elif argv[0] == "flips":
+            assert work == collections.Counter(entries=price), argv
+        else:  # two runs list D(S',m); a table with spikes counts its rows to 2m+1
+            i_set, m = parse_positions(argv[2]), int(argv[4])
+            s = pp.canonical_descent_set(i_set)
+            h = oracles.chain_descent_count([p for p in s if p < m], m)
+            counting = (cells(2 * m + 1) + m * (m + 1) // 2) if i_set else 0
+            table = checks[2 if i_set else 1]  # after the count of the rows checks its own
+            assert work["cells"] == 2 * cells(m) + (cells(2 * m + 1) if i_set else 0), argv
+            assert work["prefixes"] <= price - 2 * cells(m), argv
+            assert work["entries"] == table - 2 ** m * (m + h) - counting, argv
 
 
 @pytest.mark.parametrize("claim", CLAIMS)

@@ -132,17 +132,20 @@ def test_prefix_interval_class_matches_filter():
                     assert got == want
 
 
-def test_a_table_and_a_block_run_the_engine_twice(monkeypatch):
+def test_a_block_runs_the_engine_twice_and_a_table_once_more(monkeypatch):
     # One run prices the head class D(S ∩ [1,m-1], m) and gives its size h,
-    # and one walk lists it; the table's price reads that h.
+    # and one walk lists it; the table's price reads that h. A table with
+    # spikes runs descent_coeffs(S, m) once more, to 2m+1, to count the rows
+    # whose flips it prices.
     runs = []
     layers = enumeration._layers
     monkeypatch.setattr(enumeration, "_layers", lambda *args: runs.append(args) or layers(*args))
-    for build in (lambda: pp.flip_admission_table((2, 4), 4),
-                  lambda: list(pp.prefix_interval_class((2, 3), 4, 2))):
+    for build, lengths in ((lambda: pp.flip_admission_table((2, 4), 4), [4, 9, 4]),
+                           (lambda: pp.flip_admission_table((), 4), [4, 4]),
+                           (lambda: list(pp.prefix_interval_class((2, 3), 4, 2)), [4, 4])):
         runs.clear()
         build()
-        assert len(runs) == 2
+        assert [n for _, _, n, *_ in runs] == lengths
 
 
 def test_prefix_interval_class_golden():

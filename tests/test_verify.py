@@ -463,8 +463,10 @@ def test_flip_admission_table_validation():
     with pytest.raises(ValueError, match="center must be nonnegative"):
         pp.flip_admission_table((), -1)
     # 2^14 * (14 + 638) steps: the 638 members of D({2,3},14), relabelled
-    # onto 2^14 value sets, go over the step limit.
-    with pytest.raises(pp.CapExceeded, match="takes 10682368 steps"):
+    # onto 2^14 value sets, go over the step limit. The flips at the 2 spikes
+    # of each of the 835 rows add 835 * 2 * 56 entries, and the run that
+    # counts the rows 29 * 15 cells and 105 differences.
+    with pytest.raises(pp.CapExceeded, match="takes 10776428 steps"):
         pp.flip_admission_table((2, 4), 14)
     table = pp.flip_admission_table((2, 4), 7)
     assert tuple(map(len, table.blocks)) == pp.descent_coeffs((2, 3), 7).coeffs
