@@ -24,11 +24,11 @@ from . import enumeration, flips, polynomials, verify
 from .core import (
     Perm,
     Positions,
+    _admissible_set,
     _perm_str,
     _set_str,
     as_permutation,
     canonical_descent_set,
-    is_admissible,
     peak_set,
     position_set,
     spikes_of,
@@ -148,9 +148,7 @@ def _cmd_count(args: SimpleNamespace) -> Output:
         value = enumeration.count_descent_class(positions, n)
         return Output({"kind": "descent", "set": list(positions), "n": n, "count": str(value)},
                       header, [("descent", name, n, value)], [f"|D({name},{n})| = {value}"])
-    if not is_admissible(positions):
-        raise ValueError(f"not an admissible peak set: {_set_str(positions)}")
-    size = enumeration.count_peak_class(positions, n)
+    size = enumeration.count_peak_class(_admissible_set(positions), n)
     scaled = enumeration.scale_peak_count(size, positions, n)
     payload = {"kind": "peak", "set": list(positions), "n": n,
                "class_size": str(size), "scaled_count": str(scaled)}
@@ -161,9 +159,8 @@ def _cmd_count(args: SimpleNamespace) -> Output:
 def _cmd_expand(args: SimpleNamespace) -> Output:
     s = parse_positions(args.set)
     n = args.n
-    enumeration.DescentClassQuery(s, n)  # refuses n < 1 and n <= max(S)
-    spikes = spikes_of(s, n)
     terms = polynomials.spike_terms(s, n)
+    spikes = spikes_of(s, n)
     # d(S,n) is the sum of its terms: the identity this command prints, which
     # verify's spike-sum claim and the tests check against a count of d.
     total = sum(v for _, v in terms)

@@ -46,6 +46,14 @@ def _set_str(positions: Iterable[int]) -> str:
     return "{" + ",".join(str(p) for p in positions) + "}"
 
 
+def _admissible_set(positions: Iterable[int]) -> Positions:
+    """``positions`` normalized, refused unless it is an admissible peak set."""
+    positions = position_set(positions)
+    if not is_admissible(positions):
+        raise ValueError(f"not an admissible peak set: {_set_str(positions)}")
+    return positions
+
+
 def _perm_str(p: Sequence[int]) -> str:
     """A permutation as the answers print it: ``24315678``, ``10,2,…,9,1`` past 9."""
     return ("" if all(v <= 9 for v in p) else ",").join(str(v) for v in p)
@@ -247,9 +255,7 @@ def canonical_descent_set(i_set: Iterable[int]) -> Positions:
     >>> canonical_descent_set((2,)), canonical_descent_set((4,))
     ((1,), (1, 2, 3))
     """
-    spikes = position_set(i_set)
-    if not is_admissible(spikes):
-        raise ValueError(f"not an admissible peak set: {_set_str(spikes)}")
+    spikes = _admissible_set(i_set)
     top, down, members = max(spikes, default=0), True, []
     for pos in range(top - 1, 0, -1):
         if down:

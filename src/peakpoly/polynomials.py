@@ -21,10 +21,10 @@ from .core import (
     Perm,
     Positions,
     Record,
+    _admissible_set,
     _set_str,
     canonical_descent_set,
     check_cost,
-    is_admissible,
     position_set,
     spikes_of,
 )
@@ -200,9 +200,7 @@ def prefix_interval_class(s: Iterable[int], m: int, k: int) -> Iterator[Perm]:
 def _at_center(positions: Iterable[int], m: int, *, peaks: bool) -> Positions:
     """The normalized set S (or admissible I, with ``peaks``), once the
     center m reaches its maximum."""
-    positions = position_set(positions)
-    if peaks and not is_admissible(positions):
-        raise ValueError(f"not an admissible peak set: {_set_str(positions)}")
+    positions = _admissible_set(positions) if peaks else position_set(positions)
     if positions and m < positions[-1]:
         raise ValueError(f"center {m} is below max({'I' if peaks else 'S'}) = {positions[-1]}")
     if m < 0:
@@ -332,15 +330,17 @@ def spike_terms(s: Iterable[int], n: int) -> list[tuple[Positions, int]]:
     spikes of S, by size and then lexicographically; one engine count each,
     priced before any run: a spike next to the previous one joins only the
     subsets that miss it."""
-    s = position_set(s, n)
+    s = DescentClassQuery(s, n).descents
     spikes = spikes_of(s, n)
     subsets, missing_last = 1, 1
     for last, i in zip((0, *spikes), spikes):
         subsets, missing_last = subsets + (missing_last if i - last == 1 else subsets), subsets
     check_cost(subsets * _cells(n), f"expanding d({_set_str(s)},{n}) over spikes")
-    return [(subset, peak_poly_value(subset, n))
-            for r in range(len(spikes) + 1)
-            for subset in itertools.combinations(spikes, r) if is_admissible(subset)]
+    terms, level = [], [()]
+    while level:  # grown in lex order from a level in lex order, so no sort is needed
+        terms += [(j, peak_poly_value(j, n)) for j in level]
+        level = [j + (i,) for j in level for i in spikes if i - (j[-1] if j else 0) > 1]
+    return terms
 
 
 def descent_poly_via_peaks(s: Iterable[int], n: int) -> int:
@@ -354,10 +354,7 @@ def moebius_terms(i_set: Iterable[int], n: int) -> list[tuple[Positions, Positio
     Each d(S_J,n) is an exact engine count, 2^|I| of them. Requires
     admissible I and n > max(I), n >= 1.
     """
-    i_set = position_set(i_set)
-    if not is_admissible(i_set):
-        raise ValueError(f"not an admissible peak set: {_set_str(i_set)}")
-    PeakClassQuery(i_set, n)  # refuses n < 1 and n <= max(I)
+    i_set = PeakClassQuery(_admissible_set(i_set), n).peaks
     check_cost(2 ** len(i_set) * _cells(n), f"inverting p({_set_str(i_set)},{n}) over subsets")
     terms = []
     for r in range(len(i_set) + 1):

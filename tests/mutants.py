@@ -76,6 +76,10 @@ MUTANTS = {
         "steps += _values_price(m)"),
     "engine cells off by one": (
         "enumeration.py", "return n * (n + 1) // 2", "return n * (n - 1) // 2"),
+    "admissibility rule dropped": (
+        "core.py", "if not is_admissible(positions):", "if False:"),
+    "subset walk keeps adjacent spikes": (
+        "polynomials.py", "i - (j[-1] if j else 0) > 1", "i - (j[-1] if j else 0) >= 1"),
 }
 
 

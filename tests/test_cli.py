@@ -496,7 +496,7 @@ def test_module_invocation():
     assert json.loads(proc.stdout)["coeffs"] == ["3", "8", "7", "2", "0"]
 
 
-def test_import_loads_neither_numpy_nor_a_process_pool():
+def test_modules_a_cli_import_loads_and_layers_each_command_runs():
     # Every CLI call pays for what `import peakpoly.cli` loads; no layer
     # needs numpy or a process pool for it, and the CLI reads its arguments
     # without argparse, which would pull in `gettext` and `locale`.

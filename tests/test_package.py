@@ -9,6 +9,7 @@ import re
 import pytest
 
 import peakpoly as pp
+from peakpoly import polynomials
 
 LAYERS = ("core", "enumeration", "flips", "polynomials", "verify")
 
@@ -88,6 +89,15 @@ def test_validation_messages():
         (lambda: pp.DescentClassQuery((3,), 3), "descent position 3 needs n > 3, got n=3"),
         (lambda: pp.DescentClassQuery((), 0), "n must be positive, got 0"),
         (lambda: pp.PeakClassQuery((4,), 4), "peak position 4 needs n > 4, got n=4"),
+        # The class queries own the size rule, so the spike expansion reads as they do.
+        (lambda: polynomials.spike_terms((2, 5), 3), "descent position 5 needs n > 5, got n=3"),
+        (lambda: pp.descent_poly_via_peaks((2, 5), 5), "descent position 5 needs n > 5, got n=5"),
+        (lambda: polynomials.spike_terms((1,), 0), "n must be positive, got 0"),
+        (lambda: pp.descent_poly_via_peaks((), -1), "n must be positive, got -1"),
+        # Core owns the admissibility rule, so every layer refuses a peak set alike.
+        (lambda: pp.peak_coeffs((1, 4), 4), "not an admissible peak set: {1,4}"),
+        (lambda: pp.flip_admission_table((3, 4), 4), "not an admissible peak set: {3,4}"),
+        (lambda: pp.moebius_terms((2, 3), 1), "not an admissible peak set: {2,3}"),
         (lambda: pp.BinomialPolynomial(-1, ()), "center must be nonnegative"),
         (lambda: pp.BinomialPolynomial(4, (1, 2)), "center 4 needs 5 coefficients, got 2"),
         (lambda: pp.VerificationReport("claim", {}, passed=False),

@@ -1,6 +1,7 @@
 import contextlib
 import itertools
 import time
+from unittest import mock
 
 import pytest
 
@@ -255,6 +256,26 @@ def test_spike_terms_list_the_admissible_subsets():
     with pytest.raises(pp.CapExceeded, match="steps, over the limit"):
         pp.descent_poly_via_peaks((), 10**9)
     assert time.perf_counter() - start < 1.0
+
+
+def test_spike_terms_build_only_the_admissible_subsets():
+    # S = the odd positions below 21 at n = 22 has the 19 spikes 2..20 and
+    # F(21) = 10,946 admissible subsets of them among 2^19 = 524,288. With
+    # the counts stubbed, a walk that filters every subset takes about a
+    # second; growing only the admissible ones takes a few milliseconds.
+    # The reference: the admissible subsets of 2..i are those of 2..i-1, and
+    # those of 2..i-2 with i.
+    below = {0: [()], 1: [()]}
+    for i in range(2, 21):
+        below[i] = below[i - 1] + [j + (i,) for j in below[i - 2]]
+    expected = sorted(below[20], key=lambda j: (len(j), j))
+    with mock.patch.object(polynomials, "peak_poly_value", lambda j, n: len(j)):
+        start = time.perf_counter()
+        terms = polynomials.spike_terms(range(1, 21, 2), 22)
+        seconds = time.perf_counter() - start
+    assert len(terms) == 10946
+    assert terms == [(j, len(j)) for j in expected]
+    assert seconds < 0.3
 
 
 def test_peak_poly_via_moebius():
